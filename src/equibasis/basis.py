@@ -6,14 +6,17 @@ m+n times on the second, putting a_i on |i+m, i+m+n> (indices mod d).  A
 full state is stored as the d x d amplitude matrix amp[j, k] for |j, k>.
 
 Nothing here assumes the coefficients came from the Fourier synthesis:
-orthonormality is checked by materializing all d^2 states and taking all
+orthonormality is checked by materializing all d^2 states and taking their
 pairwise inner products, and entanglement is recomputed from the reduced
 density matrix spectrum.  Both serve as independent oracles for the
-shortcut formulas in :mod:`equibasis.core`.
+shortcut formulas in :mod:`equibasis.core`, so neither uses the cyclic
+autocorrelation, an FFT or the synthesis.  They exploit only the layout of
+the states, and check that layout instead of assuming it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,15 @@ class GramReport:
         return self.max_offdiag < ORTHO_TOL and self.max_diag_dev < ORTHO_TOL
 
 
+def _support(d: int, m, n, i):
+    """Cell (j, k) = ((i+m) mod d, (i+m+n) mod d) that carries a_i in state (m, n).
+
+    The one definition of the state layout, shared by :func:`build_state`
+    and :func:`gram_check`; it broadcasts over integer arrays.
+    """
+    return (i + m) % d, (i + m + n) % d
+
+
 def build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """Amplitude matrix of the (m, n) basis state.
 
@@ -53,8 +65,7 @@ def build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
     if not (0 <= m <= d - 1 and 0 <= n <= d - 1):
         raise ValueError(f"labels must be in [0, {d - 1}], got ({m}, {n})")
     amp = np.zeros((d, d), dtype=complex)
-    i = np.arange(d)
-    amp[(i + m) % d, (i + m + n) % d] = a
+    amp[_support(d, m, n, np.arange(d))] = a
     return amp
 
 
@@ -70,29 +81,53 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> complex:
 def gram_check(a: np.ndarray) -> GramReport:
     """Brute-force orthonormality report for the d^2 states seeded by a.
 
-    Materializes every state with :func:`build_state` and evaluates the
-    whole Gram matrix; failure is reported in the maxima, never raised.
+    Lays out every state with the support map of :func:`build_state` and
+    checks that each state of label n covers the wrapped diagonal
+    k - j = n (mod d) once, so the d diagonals tile the d x d grid.  States
+    of different n then share no cell, and their Gram entries are exactly
+    zero.  Each same-n block <psi_mn|psi_m'n> is a direct sum over the d
+    shared cells, formed one d x d block at a time: O(d^4) time, O(d^2)
+    memory.  ``worst_pair`` breaks ties as the dense d^2 x d^2 matrix would,
+    at the smallest row-major index (m*d + n, m'*d + n').
+
+    Failure of orthonormality is reported in the maxima, never raised.
+    Non-finite coefficients raise ValueError; a support map that breaks the
+    layout raises RuntimeError.
     """
     a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coefficients must be finite")
     d = a.size
-    states = np.empty((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            states[m * d + n] = build_state(a, m, n).ravel()
-    gram = states.conj() @ states.T
-    deviation = np.abs(gram - np.eye(d * d))
+    m = np.arange(d)[:, None]
+    i = np.arange(d)
+    identity = np.eye(d)
+    max_offdiag = 0.0  # the zero entries between different n
+    max_diag_dev = 0.0
+    worst = (1.0, 0, 0)  # least (-deviation, row, col) in the dense d^2 x d^2 matrix
+    for n in range(d):
+        rows, cols = _support(d, m, n, i)
+        if np.any((cols - rows) % d != n) or np.any(np.sort(rows, axis=1) != i):
+            raise RuntimeError(
+                f"internal invariant violated: a state of label {n} does not "
+                f"cover wrapped diagonal {n} exactly once"
+            )
+        # amp[m, j] is the amplitude of state (m, n) on cell (j, j+n).
+        amp = np.zeros((d, d), dtype=complex)
+        amp[m, rows] = a
+        deviation = np.abs(amp.conj() @ amp.T - identity)
 
-    diag = np.diag(deviation)
-    offdiag = deviation.copy()
-    np.fill_diagonal(offdiag, 0.0)
+        r, c = divmod(int(np.argmax(deviation)), d)
+        worst = min(worst, (-float(deviation[r, c]), r * d + n, c * d + n))
+        max_diag_dev = max(max_diag_dev, float(deviation.diagonal().max()))
+        np.fill_diagonal(deviation, 0.0)
+        max_offdiag = max(max_offdiag, float(deviation.max()))
 
-    row, col = (int(x) for x in np.unravel_index(int(np.argmax(deviation)), deviation.shape))
-    worst = ((row // d, row % d), (col // d, col % d))
+    _, row, col = worst
     return GramReport(
         d=d,
-        max_offdiag=float(offdiag.max()),
-        max_diag_dev=float(diag.max()),
-        worst_pair=worst,
+        max_offdiag=max_offdiag,
+        max_diag_dev=max_diag_dev,
+        worst_pair=((row // d, row % d), (col // d, col % d)),
     )
 
 
@@ -102,21 +137,27 @@ def state_entanglement(s: np.ndarray) -> float:
     Forms rho_A = M @ M.conj().T from the amplitude matrix M, diagonalizes
     it, and returns -sum lam log_d lam.  This is the Schmidt-spectrum
     route, fully independent of the coefficient-modulus shortcut in
-    :func:`equibasis.core.entanglement`.
+    :func:`equibasis.core.entanglement`.  When no column of M holds more
+    than one nonzero entry (every basis state is such a monomial matrix),
+    rho_A is exactly diagonal and its spectrum is read off as the row sums
+    of |M|^2; any other M is diagonalized.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"state must be a square amplitude matrix, got {s.shape}")
     d = s.shape[0]
-    norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > NORM_TOL:
+    weights = np.abs(s) ** 2
+    norm = math.sqrt(weights.sum())
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
         raise ValueError(f"state is not normalized: |s| = {norm!r}")
 
-    rho = s @ s.conj().T
-    lam = np.linalg.eigvalsh(rho)
-    if lam.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"reduced state has negative eigenvalue {lam.min()!r}")
-    lam = np.clip(lam, 0.0, None)
+    if np.count_nonzero(s, axis=0).max() <= 1:
+        lam = weights.sum(axis=1)
+    else:
+        lam = np.linalg.eigvalsh(s @ s.conj().T)
+        if lam.min() < EIGENVALUE_FLOOR:
+            raise ValueError(f"reduced state has negative eigenvalue {lam.min()!r}")
+        lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum()
     return _weights_entropy(lam, d)
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 failed verification or non-converged search,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -80,9 +81,12 @@ def parse_coefficients(text: str) -> np.ndarray:
         if len(pieces) != 2:
             raise ArgumentProblem(f"coefficient entry must be 're,im', got {part!r}")
         try:
-            entries.append(complex(float(pieces[0]), float(pieces[1])))
+            z = complex(float(pieces[0]), float(pieces[1]))
         except ValueError:
             raise ArgumentProblem(f"cannot parse coefficient {part!r}") from None
+        if not cmath.isfinite(z):
+            raise ArgumentProblem(f"coefficient {part!r} is not finite")
+        entries.append(z)
     if len(entries) < 2:
         raise ArgumentProblem("need at least 2 coefficients")
     return np.array(entries, dtype=complex)

