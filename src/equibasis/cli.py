@@ -10,7 +10,9 @@ versions.  Data files are byte-identical across repeated runs; only the
 manifest carries a timestamp.
 
 Exit codes: 0 success, 1 failed verification or non-converged search,
-2 bad arguments, 3 I/O failure.
+2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
+program itself failed, such as the basis layout checked by the Gram
+oracle; please report it).
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ from .search import (
     SearchConfig,
     alternating_projection_search,
 )
+
+# Grid points per stacked synthesis and entropy call in `curve`.  Bounds the
+# working set at d = 256 to a few (256, 256) complex arrays (1 MB each).
+CURVE_CHUNK = 256
+
+# Numeric flags that must be finite, by argparse destination.
+FINITE_FLAGS = {
+    "param_deg": "--param-deg", "start": "--from", "stop": "--to", "step": "--step", "tol": "--tol"
+}
 
 _ANGLE_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*|\.\d+))?$"
@@ -90,6 +101,14 @@ def parse_coefficients(text: str) -> np.ndarray:
     if len(entries) < 2:
         raise ArgumentProblem("need at least 2 coefficients")
     return np.array(entries, dtype=complex)
+
+
+def check_finite_flags(args) -> None:
+    """Reject NaN or infinite values of the numeric flags, naming the flag."""
+    for dest, flag in FINITE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
 
 
 def parse_family(name: str) -> Family:
@@ -181,9 +200,18 @@ def resolve_source(args) -> tuple[np.ndarray, dict]:
         desc = {"preset": {"d": d, "variant": variant}}
     else:
         a = parse_coefficients(args.coeffs)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
+        scale = float(np.abs(a.view(float)).max())
+        if scale == 0.0:
             raise ArgumentProblem("coefficients must not all be zero")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
+        if not math.sqrt(sys.float_info.min) <= norm < math.inf:
+            # The squares overflowed or went subnormal: rescale by the
+            # largest component first, one real part at a time (complex
+            # division by a subnormal overflows).  Other inputs keep the
+            # direct division.
+            a = (a.view(float) / scale).view(complex)
+            norm = float(np.linalg.norm(a))
         a = a / norm  # escape hatch accepts hand-typed, roughly normalized input
         desc = {"coeffs": args.coeffs}
 
@@ -254,19 +282,25 @@ def cmd_curve(args, argv: list[str]) -> int:
             raise ArgumentProblem("--interpolate requires --preset or --theta0")
         if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
             raise ArgumentProblem("interpolation range must lie within [0, 1]")
-        grid = make_grid(args.start, args.stop, args.step)
-        values = [
-            entanglement(synthesize_coefficients(interpolate(theta0, t))) for t in grid
-        ]
+
+        def coefficients(points: list[float]) -> np.ndarray:
+            return synthesize_coefficients(interpolate(theta0, np.array(points)))
+
     else:
         if args.family is None:
             raise ArgumentProblem("curve needs --family, or --interpolate with a seed")
         family = parse_family(args.family)
         if not (0.0 <= args.start <= 360.0 and 0.0 <= args.stop <= 360.0):
             raise ArgumentProblem("parameter range must lie within [0, 360] degrees")
-        grid = make_grid(args.start, args.stop, args.step)
-        values = [entanglement(family.coefficients(math.radians(p))) for p in grid]
         desc = {"family": family.value}
+
+        def coefficients(points: list[float]) -> np.ndarray:
+            return np.array([family.coefficients(math.radians(p)) for p in points])
+
+    grid = make_grid(args.start, args.stop, args.step)
+    values = []
+    for lo in range(0, len(grid), CURVE_CHUNK):
+        values += entanglement(coefficients(grid[lo : lo + CURVE_CHUNK])).tolist()
 
     lines = ["param_deg,entanglement"]
     lines += [f"{p:.15g},{e:.15g}" for p, e in zip(grid, values)]
@@ -431,6 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        check_finite_flags(args)
         return args.func(args, argv)
     except ArgumentProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -441,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

@@ -14,8 +14,15 @@ is exactly the orthonormality condition for the shifted basis states.
 
 All functions here are pure and operate on plain numpy arrays (complex128)
 or on :class:`PhaseVector`.  The synthesis is a dense O(d^2) matrix-vector
-product per call; dimensions up to d = 256 are exercised, and the tolerances
-below are argued at that size.
+product per vector; dimensions up to d = 256 are exercised, and the
+tolerances below are argued at that size.
+
+The synthesis and the entropy also take a stack of vectors, shape (..., d),
+and work along the last axis: :class:`PhaseVector` may hold such a stack,
+:func:`synthesize_coefficients` maps it row by row through one stacked
+matmul, and :func:`entanglement` returns one value per row.  Every row comes
+out bit for bit as it would alone, so a batched caller writes the same
+numbers as a per-vector loop.
 """
 
 from __future__ import annotations
@@ -45,14 +52,15 @@ class PhaseVector:
 
     A global phase is physically irrelevant, so the canonical gauge pins
     theta[0] = 0; use :meth:`canonical` to fix the gauge before comparing
-    two phase vectors.
+    two phase vectors.  ``theta`` may also be a stack of phase vectors,
+    shape (..., d); every operation acts on the last axis.
     """
 
     theta: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.theta, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
+        if arr.ndim == 0 or arr.shape[-1] < 2:
             raise ValueError("phase vector needs at least 2 entries")
         if not np.all(np.isfinite(arr)):
             raise ValueError("phases must be finite")
@@ -62,15 +70,16 @@ class PhaseVector:
 
     @property
     def d(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
 
     def canonical(self) -> "PhaseVector":
         """Gauge-fixed copy with theta[0] = 0."""
-        return PhaseVector(self.theta - self.theta[0])
+        return PhaseVector(self.theta - self.theta[..., :1])
 
     def __repr__(self) -> str:
-        angles = ", ".join(f"{t:.6g}" for t in self.theta)
-        return f"PhaseVector([{angles}])"
+        angles = ", ".join(f"{t:.6g}" for t in self.theta.flat)
+        shape = "" if self.theta.ndim == 1 else f", shape={self.theta.shape}"
+        return f"PhaseVector([{angles}]{shape})"
 
 
 def root_of_unity(d: int, p: int) -> complex:
@@ -119,14 +128,26 @@ def idft(w: np.ndarray) -> np.ndarray:
     return (_phase_matrix(d).conj() @ w) / math.sqrt(d)
 
 
+def _synthesize(theta: np.ndarray) -> np.ndarray:
+    """Forward synthesis along the last axis of a (..., d) array of phases.
+
+    A stack goes through one matmul over (d, 1) columns, which numpy
+    evaluates as one BLAS matrix-vector product per row, so each row has the
+    bits of the 1-d product.  A plain (n, d) @ (d, d) matrix product would
+    not: its blocked summation differs in the last bits.
+    """
+    d = theta.shape[-1]
+    return (_phase_matrix(d) @ np.exp(1j * theta)[..., None])[..., 0] / d
+
+
 def synthesize_coefficients(phases: PhaseVector) -> np.ndarray:
     """Coefficients a_k = (1/d) * sum_alpha exp(i*theta_alpha) * xi^(k*alpha).
 
     The output is unit norm (Parseval) and has vanishing cyclic
-    autocorrelation at every nonzero lag, both to rounding error.
+    autocorrelation at every nonzero lag, both to rounding error.  A stacked
+    phase vector of shape (..., d) gives coefficients of the same shape.
     """
-    d = phases.d
-    return (_phase_matrix(d) @ np.exp(1j * phases.theta)) / d
+    return _synthesize(phases.theta)
 
 
 def autocorrelation(a: np.ndarray, m: int) -> complex:
@@ -142,27 +163,50 @@ def autocorrelation(a: np.ndarray, m: int) -> complex:
     return complex(np.vdot(a, np.roll(a, -m)))
 
 
-def entanglement(a: np.ndarray) -> float:
+def entanglement(a: np.ndarray) -> float | np.ndarray:
     """Entropy of the squared moduli, -sum |a_i|^2 log_d |a_i|^2, in [0, 1].
 
     Logarithms are base d, so a flat-modulus vector scores exactly 1 in any
     dimension; a single nonzero entry scores 0 (with 0*log(0) = 0).  Raises
-    if the input norm deviates from 1 by more than ``NORM_TOL``.
+    if the input norm deviates from 1 by more than ``NORM_TOL``.  Works
+    along the last axis: a 1-d vector gives a float, a stack of shape
+    (..., d) an array of shape (...), each row as it would alone.
     """
     a = np.asarray(a, dtype=complex)
-    d = a.size
-    norm = float(np.linalg.norm(a))
-    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
-        raise ValueError(f"coefficient vector is not normalized: |a| = {norm!r}")
     weights = np.abs(a) ** 2
-    weights = weights / weights.sum()
-    return _weights_entropy(weights, d)
+    total = weights.sum(axis=-1, keepdims=True)
+    norm = np.sqrt(total)
+    off = ~(np.abs(norm - 1.0) <= NORM_TOL)  # also rejects NaN and inf
+    if off.any():
+        raise ValueError(f"coefficient vector is not normalized: |a| = {float(norm[off][0])!r}")
+    return _weights_entropy(weights / total, a.shape[-1])
 
 
-def _weights_entropy(weights: np.ndarray, d: int) -> float:
-    """Base-d entropy of a probability vector, clamped to [0, 1]."""
-    nonzero = weights[weights > 0.0]
-    e = float(-(nonzero * np.log(nonzero)).sum() / math.log(d))
+def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
+    """Base-d entropy of probability vectors along the last axis, clamped to [0, 1].
+
+    The weights are nonnegative.  A 1-d vector gives a float, a stack of
+    shape (..., d) an array of shape (...).  Zero weights are left out of
+    the sum.  For d >= 8 numpy's pairwise sum groups terms by position, so a
+    zero summed in place could move the last bit; a row holding a zero
+    weight is therefore summed over its positive terms alone.
+    """
+    if np.count_nonzero(weights) == weights.size:
+        total = (weights * np.log(weights)).sum(-1)
+    else:
+        positive = weights > 0.0
+        nonzero = weights[positive]
+        terms = nonzero * np.log(nonzero)
+        ends = np.cumsum(positive.sum(axis=-1)).ravel()[:-1]
+        total = np.reshape([row.sum() for row in np.split(terms, ends)], weights.shape[:-1])
+    log_d = math.log(d)
+    if weights.ndim == 1:
+        return _clamp_entropy(-float(total) / log_d)
+    return np.reshape([_clamp_entropy(-t / log_d) for t in total.ravel().tolist()], total.shape)
+
+
+def _clamp_entropy(e: float) -> float:
+    """One entropy value clamped to [0, 1]; rounding beyond ``ORTHO_TOL`` raises."""
     if e < -ORTHO_TOL or e > 1.0 + ORTHO_TOL:
         raise ValueError(f"entropy {e!r} outside [0, 1] beyond tolerance")
     return 0.0 if e <= 0.0 else min(e, 1.0)

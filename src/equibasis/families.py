@@ -156,16 +156,18 @@ def preset_phases(d: int, variant: int = 0) -> PresetEntry:
     return PresetEntry(d=d, variant=variant, theta0=theta0)
 
 
-def interpolate(theta0: PhaseVector, t: float) -> PhaseVector:
+def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:
     """Scale every phase by t in [0, 1].
 
     t = 0 gives the all-zero phases (product basis, entanglement 0); t = 1
     returns theta0 itself.  Scaling acts on the stored representatives in
-    [0, 2*pi), before any gauge reduction.
+    [0, 2*pi), before any gauge reduction.  An array of n values of t gives
+    the n scaled phase vectors as one stacked PhaseVector of shape (n, d).
     """
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"interpolation parameter must be in [0, 1], got {t}")
-    return PhaseVector(t * theta0.theta)
+    return PhaseVector(np.multiply.outer(t, theta0.theta))
 
 
 def quadratic_phases(d: int) -> PhaseVector:

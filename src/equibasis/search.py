@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GramReport, gram_check
-from .core import PhaseVector, TWO_PI, _phase_matrix, entanglement, synthesize_coefficients
+from .core import PhaseVector, TWO_PI, _phase_matrix, _synthesize
+from .core import entanglement, synthesize_coefficients
 
 # Moduli below this are projected with tie-break phase 0 (measure-zero event).
 ZERO_MODULUS = 1e-15
@@ -112,16 +113,16 @@ def iterate_projections(
     """
     d = theta.d
     target = 1.0 / math.sqrt(d)
-    kernel = _phase_matrix(d)
+    inverse = _phase_matrix(d).conj().T
     th = theta.theta.copy()
     iterations = 0
     while True:
-        a = (kernel @ np.exp(1j * th)) / d
+        a = _synthesize(th)
         residual = float(np.max(np.abs(np.abs(a) - target)))
         if residual < residual_tol or iterations >= max_iters:
             break
         b = _project_unimodular(a, target)
-        c = (kernel.conj().T @ b) / math.sqrt(d)
+        c = (inverse @ b) / math.sqrt(d)
         th = np.where(np.abs(c) < ZERO_MODULUS, 0.0, np.angle(c))
         th = np.mod(th - th[0], TWO_PI)
         iterations += 1
