@@ -23,6 +23,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,6 +43,19 @@ from .search import (
 # Grid points per stacked synthesis and entropy call in `curve`.  Bounds the
 # working set at d = 256 to a few (256, 256) complex arrays (1 MB each).
 CURVE_CHUNK = 256
+
+# One `construct` row per format: (text before the row, field separator,
+# text after the row, row separator).  The JSON layout is that of a row list
+# at depth 2 under ``json.dumps(indent=2)``.
+_ROW_LAYOUT = {
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n"),
+    "csv": ("", ",", "", "\n"),
+}
+
+# Most points a `curve` grid may have; a finer --step is refused (exit 2)
+# before any list is built.  The grid, values and CSV lines are held in
+# memory: 10^6 points of a d = 4 family peak at about 0.25 GB and take 7 s.
+MAX_CURVE_POINTS = 10**6
 
 # Numeric flags that must be finite, by argparse destination.
 FINITE_FLAGS = {
@@ -120,12 +134,21 @@ def parse_family(name: str) -> Family:
 
 
 def make_grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive, strictly increasing grid start, start+step, ..., stop."""
+    """Inclusive, strictly increasing grid start, start+step, ..., stop.
+
+    The point count is checked before the grid is built: a step that gives
+    more than ``MAX_CURVE_POINTS`` points (or an infinite count) is refused.
+    """
     if step <= 0.0:
         raise ArgumentProblem(f"step must be positive, got {step}")
     if stop < start:
         raise ArgumentProblem(f"range end {stop} is below start {start}")
-    n = int(math.floor((stop - start) / step + 1e-9))
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_CURVE_POINTS:
+        raise ArgumentProblem(
+            f"--step {step} gives more than {MAX_CURVE_POINTS} grid points"
+        )
+    n = int(math.floor(span))
     return [min(start + i * step, stop) for i in range(n + 1)]
 
 
@@ -151,9 +174,10 @@ def write_manifest(output: Path, argv: list[str], config: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write one string, or an iterable of string chunks in order, to path."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def say(args, message: str) -> None:
@@ -223,45 +247,61 @@ def resolve_source(args) -> tuple[np.ndarray, dict]:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_construct(args, argv: list[str]) -> int:
+    """Write all d^2 basis states as JSON or CSV, streamed one state at a time."""
     a, desc = resolve_source(args)
+    fmt = args.format or "json"
+    chunks = construct_chunks(a, desc, entanglement(a), fmt)
+    if args.output is None:
+        sys.stdout.writelines(chunks)
+    else:
+        write_text(args.output, chunks)
+        write_manifest(args.output, argv, {"source": desc, "d": a.size, "format": args.format})
+        say(args, f"wrote {args.output}")
+    return 0
+
+
+def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Iterator[str]:
+    """The `construct` data file as text chunks: header, one chunk per state, tail.
+
+    State (m, n) has the d rows (m, n, (i+m) mod d, (i+m+n) mod d, re a_i,
+    im a_i).  Only d distinct amplitude pairs occur, so each is formatted
+    once and every row is filled into a fixed per-format template; the
+    d^3 rows and the whole text are never held at once.  The JSON chunks
+    splice the rows into ``json.dumps(indent=2)`` of the header payload
+    with an empty ``states`` list, and give the bytes that dumping the full
+    payload would give; the CSV rows use ``repr`` of each float.
+    """
     d = a.size
-    e_value = entanglement(a)
-
-    rows = []
-    for m in range(d):
-        for n in range(d):
-            for i in range(d):
-                rows.append(
-                    [m, n, (i + m) % d, (i + m + n) % d, float(a[i].real), float(a[i].imag)]
-                )
-
-    if args.format in (None, "json"):
+    pairs = [(float(z.real), float(z.imag)) for z in a]
+    if fmt == "json":
         payload = {
             "d": d,
             "source": desc,
             "entanglement": e_value,
-            "coefficients": [[float(z.real), float(z.imag)] for z in a],
-            "states": rows,
+            "coefficients": [list(p) for p in pairs],
+            "states": [],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
+        head, tail = head + "[\n", "\n  ]" + tail + "\n"
     else:
-        coeff_text = ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in a)
-        lines = [
-            f"# d={d}",
-            f"# entanglement={e_value!r}",
-            f"# coefficients={coeff_text}",
-            "m,n,j,k,re,im",
-        ]
-        lines += [f"{m},{n},{j},{k},{re!r},{im!r}" for m, n, j, k, re, im in rows]
-        text = "\n".join(lines) + "\n"
+        coeff_text = ";".join(f"{re!r},{im!r}" for re, im in pairs)
+        head = f"# d={d}\n# entanglement={e_value!r}\n# coefficients={coeff_text}\nm,n,j,k,re,im\n"
+        tail = "\n"
+    opening, sep, closing, row_sep = _ROW_LAYOUT[fmt]
+    cells = [f"{sep}{re!r}{sep}{im!r}{closing}" for re, im in pairs]
+    labels = [str(x) for x in range(d)]
 
-    if args.output is None:
-        print(text, end="")
-    else:
-        write_text(args.output, text)
-        write_manifest(args.output, argv, {"source": desc, "d": d, "format": args.format})
-        say(args, f"wrote {args.output}")
-    return 0
+    yield head
+    before = ""
+    for m in range(d):
+        js = [j + sep for j in labels[m:] + labels[:m]]  # j = (i + m) mod d
+        for n in range(d):
+            r = (m + n) % d
+            ks = labels[r:] + labels[:r]  # k = (i + m + n) mod d
+            lead = f"{opening}{m}{sep}{n}{sep}"
+            yield before + row_sep.join([lead + j + k + c for j, k, c in zip(js, ks, cells)])
+            before = row_sep
+    yield tail
 
 
 def cmd_curve(args, argv: list[str]) -> int:

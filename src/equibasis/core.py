@@ -206,7 +206,11 @@ def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
 
 
 def _clamp_entropy(e: float) -> float:
-    """One entropy value clamped to [0, 1]; rounding beyond ``ORTHO_TOL`` raises."""
-    if e < -ORTHO_TOL or e > 1.0 + ORTHO_TOL:
-        raise ValueError(f"entropy {e!r} outside [0, 1] beyond tolerance")
+    """One entropy value clamped to [0, 1].
+
+    A value outside the range by more than ``ORTHO_TOL``, or NaN, cannot come
+    from normalised weights, so it raises ``RuntimeError`` (an internal error).
+    """
+    if not -ORTHO_TOL <= e <= 1.0 + ORTHO_TOL:
+        raise RuntimeError(f"entropy {e!r} outside [0, 1] beyond tolerance")
     return 0.0 if e <= 0.0 else min(e, 1.0)

@@ -102,17 +102,20 @@ class Family(enum.Enum):
 
     @property
     def dimension(self) -> int:
-        return {"d3-real": 3, "d3-complex": 3, "d4-real": 4, "d4-complex": 4}[self.value]
+        return _FAMILY_TABLE[self][0]
 
     def coefficients(self, param: float) -> np.ndarray:
         """Coefficient vector of this family at parameter value (radians)."""
-        fn = {
-            Family.D3_REAL: family_d3_real,
-            Family.D3_COMPLEX: family_d3_complex,
-            Family.D4_REAL: family_d4_real,
-            Family.D4_COMPLEX: family_d4_complex,
-        }[self]
-        return fn(param)
+        return _FAMILY_TABLE[self][1](param)
+
+
+# (dimension, coefficient function) of each family member.
+_FAMILY_TABLE = {
+    Family.D3_REAL: (3, family_d3_real),
+    Family.D3_COMPLEX: (3, family_d3_complex),
+    Family.D4_REAL: (4, family_d4_real),
+    Family.D4_COMPLEX: (4, family_d4_complex),
+}
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,8 @@ def preset_phases(d: int, variant: int = 0) -> PresetEntry:
     """Look up a cataloged flat-phase endpoint by dimension and variant.
 
     The synthesized moduli are re-verified to be flat on every call; a
-    failure would mean the catalog itself is corrupt.
+    failure means the catalog itself is corrupt and raises ``RuntimeError``.
+    An unknown key raises ``ValueError``.
     """
     key = (d, variant)
     if key not in _PRESET_ANGLES:
@@ -192,4 +196,4 @@ def _check_flat(theta0: PhaseVector) -> None:
     a = synthesize_coefficients(theta0)
     deviation = float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(theta0.d))))
     if deviation > FLATNESS_TOL:
-        raise ValueError(f"preset phases are not flat: deviation {deviation!r}")
+        raise RuntimeError(f"preset phases are not flat: deviation {deviation!r}")

@@ -1,11 +1,12 @@
-"""CLI boundary: internal errors, non-finite numeric flags, extreme --coeffs."""
+"""CLI boundary: internal errors, non-finite numeric flags, grid sizes, extreme --coeffs."""
 
 import json
+import math
 
 import pytest
 
-from equibasis import basis
-from equibasis.cli import main
+from equibasis import basis, core, families
+from equibasis.cli import MAX_CURVE_POINTS, main
 
 
 def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
@@ -46,3 +47,50 @@ def test_extreme_coeffs_normalise_like_unit_ones(capsys, coeffs):
     got = capsys.readouterr()
     assert got.out == expected.out and got.err == ""
     assert json.loads(got.out)["entanglement"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "d=3"],
+        ["curve", "--preset", "d=3", "--interpolate", "--from", "0", "--to", "1", "--step", "0.5"],
+    ],
+)
+def test_corrupt_preset_is_an_internal_error(monkeypatch, tmp_path, capsys, argv):
+    corrupt = dict(families._PRESET_ANGLES)
+    corrupt[(3, 0)] = (0.0, 0.3, 0.0)  # synthesizes to moduli far from flat
+    monkeypatch.setattr(families, "_PRESET_ANGLES", corrupt)
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("internal error: preset phases are not flat")
+    assert not out.exists()
+
+
+def test_unknown_preset_stays_a_boundary_error(capsys):
+    assert main(["verify", "--preset", "d=9"]) == 2
+    assert capsys.readouterr().err.startswith("error: no preset for d=9")
+
+
+@pytest.mark.parametrize("e", [-1e-9, 1.0 + 1e-9, math.nan])
+def test_entropy_out_of_range_is_an_internal_error(e):
+    with pytest.raises(RuntimeError, match="outside"):
+        core._clamp_entropy(e)
+
+
+@pytest.mark.parametrize(
+    "source, start, stop, step",
+    [
+        (["--family", "d3-real"], "0", "360", "1e-310"),  # quotient overflows to inf
+        (["--family", "d3-real"], "0", "360", "1e-300"),
+        (["--family", "d4-complex"], "0", "360", "1e-12"),
+        (["--family", "d3-real"], "0", "1", repr(1 / MAX_CURVE_POINTS)),  # one point too many
+        (["--preset", "d=3", "--interpolate"], "0", "1", "1e-300"),
+    ],
+)
+def test_oversized_curve_grid_is_refused(tmp_path, capsys, source, start, stop, step):
+    out = tmp_path / "curve.csv"
+    argv = ["curve", *source, "--from", start, "--to", stop, "--step", step]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --step {float(step)} gives more than {MAX_CURVE_POINTS}")
+    assert not out.exists()
