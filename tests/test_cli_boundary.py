@@ -1,12 +1,12 @@
-"""CLI boundary: internal errors, non-finite numeric flags, grid sizes, extreme --coeffs."""
+"""CLI boundary: internal errors, non-finite numeric flags, grid and basis sizes, extreme --coeffs."""
 
 import json
 import math
 
 import pytest
 
-from equibasis import basis, core, families
-from equibasis.cli import MAX_CURVE_POINTS, main
+from equibasis import basis, cli, core, families
+from equibasis.cli import MAX_CONSTRUCT_ROWS, MAX_CURVE_POINTS, main
 
 
 def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
@@ -94,3 +94,37 @@ def test_oversized_curve_grid_is_refused(tmp_path, capsys, source, start, stop, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: --step {float(step)} gives more than {MAX_CURVE_POINTS}")
     assert not out.exists()
+
+
+def _refuse_synthesis(monkeypatch):
+    def fail(theta):
+        raise AssertionError(f"synthesized {theta.d} phases")
+
+    monkeypatch.setattr(cli, "synthesize_coefficients", fail)
+
+
+@pytest.mark.parametrize("d", [257, 1000])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_oversized_construct_is_refused_before_synthesis(monkeypatch, tmp_path, capsys, d, fmt):
+    _refuse_synthesis(monkeypatch)
+    out = tmp_path / f"basis.{fmt}"
+    theta = ",".join(["0.5"] * d)
+    assert main(["construct", "--theta", theta, "--format", fmt, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --theta has {d} phases: the basis would have {d**3} rows")
+    assert str(MAX_CONSTRUCT_ROWS) in err
+    assert not out.exists()
+
+
+def test_construct_row_limit_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CONSTRUCT_ROWS", 4**3)
+    assert main(["construct", "--theta", "0,0,0,pi", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4 + 4**3  # header lines, rows
+    _refuse_synthesis(monkeypatch)
+    assert main(["construct", "--theta", "0,0,0,0,pi", "--format", "csv"]) == 2
+    assert "would have 125 rows, more than 64" in capsys.readouterr().err
+
+
+def test_verify_has_no_construct_row_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_CONSTRUCT_ROWS", 1)
+    assert main(["verify", "--theta", "0,0,0,pi"]) == 0

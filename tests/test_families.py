@@ -233,3 +233,39 @@ class TestQuadraticPhases:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             quadratic_phases(1)
+
+
+class TestInterpolateGauge:
+    """`interpolate` scales the stored [0, 2*pi) representatives, so two
+    gauge-equivalent endpoints (phases differing by a constant) trace
+    different curves between their common ends."""
+
+    RAW = PhaseVector([1.5 * math.pi, 1.5 * math.pi, 1.5 * math.pi + 2.0 * math.pi / 3.0])
+
+    def entropies(self, theta0, t):
+        return entanglement(synthesize_coefficients(interpolate(theta0, t)))
+
+    def test_equivalent_endpoints_share_the_ends_but_not_the_midpoint(self):
+        raw, canonical = self.RAW, self.RAW.canonical()
+        assert canonical.theta[0] == 0.0 and raw.theta[2] < raw.theta[0]  # one phase wrapped
+        assert self.entropies(raw, 0.0) == self.entropies(canonical, 0.0)  # both all-zero phases
+        assert self.entropies(raw, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert self.entropies(raw, 1.0) == pytest.approx(self.entropies(canonical, 1.0), abs=1e-12)
+        assert self.entropies(canonical, 1.0) == pytest.approx(1.0, abs=1e-12)  # the d=3 preset
+        assert abs(self.entropies(raw, 0.5) - self.entropies(canonical, 0.5)) > 1e-3
+
+    def test_curve_cli_follows_the_given_representatives(self, tmp_path):
+        from equibasis.cli import main
+
+        rows = {}
+        for name, theta0 in (("raw", self.RAW), ("canonical", self.RAW.canonical())):
+            out = tmp_path / f"{name}.csv"
+            phases = ",".join(repr(float(t)) for t in theta0.theta)
+            argv = ["curve", "--interpolate", "--theta0", phases, "--from", "0", "--to", "1",
+                    "--step", "0.5", "--output", str(out), "--quiet"]
+            assert main(argv) == 0
+            rows[name] = [tuple(map(float, r.split(","))) for r in out.read_text().splitlines()[1:]]
+        (r0, rh, r1), (c0, ch, c1) = rows["raw"], rows["canonical"]
+        assert r0 == c0 and r0[1] == pytest.approx(0.0, abs=1e-12)
+        assert r1[1] == pytest.approx(c1[1], abs=1e-12)
+        assert abs(rh[1] - ch[1]) > 1e-3
