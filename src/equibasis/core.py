@@ -42,7 +42,13 @@ TWO_PI = 2.0 * math.pi
 # 2.7e-15 at d = 64, 3.3e-15 at d = 128, 7.4e-15 at d = 256.
 ORTHO_TOL = 1e-12
 
-# Largest norm deviation accepted by the entropy routines.
+# Largest norm deviation accepted by the entropy routines.  A norm summed
+# from n squared moduli errs by at most about n * eps: 5.7e-14 for the d
+# coefficients at d = 256 and 1.5e-11 for the d^2 cells of a general state,
+# both far inside 1e-9.  Measured worst |norm - 1| over all d^2 basis states
+# of quadratic phases, summed from the row sums of |s|^2 as
+# :func:`equibasis.basis.state_entanglement` does: 4.4e-16 at d = 64,
+# 6.7e-16 at d = 128, 3.6e-15 at d = 256.
 NORM_TOL = 1e-9
 
 

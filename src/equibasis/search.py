@@ -92,12 +92,17 @@ def flatness_residual(theta: PhaseVector) -> float:
     return float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(theta.d))))
 
 
-def _project_unimodular(z: np.ndarray, radius: float) -> np.ndarray:
-    """Nearest vector with all moduli equal to radius; phase 0 on ties."""
-    mod = np.abs(z)
+def _project_unimodular(z: np.ndarray, radius: float, mod: np.ndarray) -> np.ndarray:
+    """Nearest vector with all moduli equal to radius; phase 0 on ties.
+
+    ``mod`` is ``np.abs(z)``, which the caller already holds.  When no
+    modulus is below ``ZERO_MODULUS`` (the usual case) the tie-break is
+    skipped; the result has the same bits either way.
+    """
+    if mod.min() >= ZERO_MODULUS:
+        return radius * z / mod
     safe = np.where(mod < ZERO_MODULUS, 1.0, mod)
-    out = np.where(mod < ZERO_MODULUS, radius + 0.0j, radius * z / safe)
-    return out
+    return np.where(mod < ZERO_MODULUS, radius + 0.0j, radius * z / safe)
 
 
 def iterate_projections(
@@ -118,12 +123,16 @@ def iterate_projections(
     iterations = 0
     while True:
         a = _synthesize(th)
-        residual = float(np.max(np.abs(np.abs(a) - target)))
+        mod = np.abs(a)
+        residual = float(np.max(np.abs(mod - target)))
         if residual < residual_tol or iterations >= max_iters:
             break
-        b = _project_unimodular(a, target)
+        b = _project_unimodular(a, target, mod)
         c = (inverse @ b) / math.sqrt(d)
-        th = np.where(np.abs(c) < ZERO_MODULUS, 0.0, np.angle(c))
+        th = np.angle(c)
+        c_mod = np.abs(c)
+        if not c_mod.min() >= ZERO_MODULUS:  # also NaN
+            th = np.where(c_mod < ZERO_MODULUS, 0.0, th)
         th = np.mod(th - th[0], TWO_PI)
         iterations += 1
     return PhaseVector(th).canonical(), residual, iterations
