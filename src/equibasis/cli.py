@@ -62,7 +62,7 @@ _ROW_LAYOUT = {
 MAX_CURVE_POINTS = 10**6
 
 # Most rows `construct` may write: d^3 for dimension d, so d = 256 is the
-# largest accepted (16.8 M rows, about 1 GB of JSON).  A larger --theta is
+# largest accepted (16.8 M rows, about 1.8 GB of JSON).  A larger --theta is
 # refused (exit 2) before any synthesis.
 MAX_CONSTRUCT_ROWS = 256**3
 
@@ -290,11 +290,16 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
 
     State (m, n) has the d rows (m, n, (i+m) mod d, (i+m+n) mod d, re a_i,
     im a_i).  Only d distinct amplitude pairs occur, so each is formatted
-    once and every row is filled into a fixed per-format template; the
-    d^3 rows and the whole text are never held at once.  The JSON chunks
-    splice the rows into ``json.dumps(indent=2)`` of the header payload
-    with an empty ``states`` list, and give the bytes that dumping the full
-    payload would give; the CSV rows use ``repr`` of each float.
+    once.  A row ends in k = (i+r) mod d and cell i, where r = (m+n) mod d,
+    so the d^2 tails ``tails[r][i]`` are joined once per call (7 MB of CSV
+    or 8 MB of JSON tails at d = 256, against 0.9 or 1.8 GB of output).
+    Each state is then one ``"".join`` over a reused list of 3d slots: the
+    row separator and (m, n) lead, the j = (i+m) mod d column of this m,
+    and the tails of this r.  No per-row string is built, and the d^3 rows
+    and the whole text are never held at once.  The JSON chunks splice the rows into
+    ``json.dumps(indent=2)`` of the header payload with an empty
+    ``states`` list, and give the bytes that dumping the full payload
+    would give; the CSV rows use ``repr`` of each float.
     """
     d = a.size
     pairs = [(float(z.real), float(z.imag)) for z in a]
@@ -315,29 +320,46 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
     opening, sep, closing, row_sep = _ROW_LAYOUT[fmt]
     cells = [f"{sep}{re!r}{sep}{im!r}{closing}" for re, im in pairs]
     labels = [str(x) for x in range(d)]
+    tails = [[k + c for k, c in zip(labels[r:] + labels[:r], cells)] for r in range(d)]
 
     yield head
+    pieces = [""] * (3 * d)
     before = ""
     for m in range(d):
-        js = [j + sep for j in labels[m:] + labels[:m]]  # j = (i + m) mod d
+        pieces[1::3] = [j + sep for j in labels[m:] + labels[:m]]  # j = (i + m) mod d
         for n in range(d):
-            r = (m + n) % d
-            ks = labels[r:] + labels[:r]  # k = (i + m + n) mod d
             lead = f"{opening}{m}{sep}{n}{sep}"
-            yield before + row_sep.join([lead + j + k + c for j, k, c in zip(js, ks, cells)])
+            pieces[0::3] = [row_sep + lead] * d
+            pieces[0] = before + lead
+            pieces[2::3] = tails[(m + n) % d]
+            yield "".join(pieces)
             before = row_sep
     yield tail
+
+
+def curve_rows(points: np.ndarray, values: np.ndarray) -> str:
+    """The CSV lines ``param,entanglement`` of one curve chunk, each ``%.15g``.
+
+    The two columns are interleaved into one list and formatted with one
+    ``%`` template of n rows, which gives the bytes of one
+    ``f"{p:.15g},{e:.15g}\\n"`` per row at less than half the cost.
+    """
+    n = len(points)
+    row = [None] * (2 * n)
+    row[0::2], row[1::2] = points.tolist(), values.tolist()
+    return ("%.15g,%.15g\n" * n) % tuple(row)
 
 
 def cmd_curve(args, argv: list[str]) -> int:
     """Write the entanglement curve as CSV, streamed one grid chunk at a time.
 
     Each chunk of ``CURVE_CHUNK`` points makes one coefficient call, one
-    row-wise entropy call and one block of CSV lines, written before the
-    next chunk is evaluated, so memory does not grow with the grid beyond
-    the grid itself.  The grid maximum (first point of greatest
-    entanglement) is kept as the chunks go by.  An internal error raised
-    mid-grid leaves the rows written so far in the file.
+    row-wise entropy call and one block of CSV lines formatted by
+    :func:`curve_rows` with one ``%`` template, written before the next
+    chunk is evaluated, so memory does not grow with the grid beyond the
+    grid itself.  The grid maximum (first point of greatest entanglement)
+    is kept as the chunks go by.  An internal error raised mid-grid leaves
+    the rows written so far in the file.
     """
     if args.format not in (None, "csv"):
         raise ArgumentProblem("curve output is CSV only")
@@ -383,7 +405,7 @@ def cmd_curve(args, argv: list[str]) -> int:
             top = int(np.argmax(values))
             if values[top] > best_e:
                 best_e, best_p = float(values[top]), float(points[top])
-            yield "".join([f"{p:.15g},{e:.15g}\n" for p, e in zip(points.tolist(), values.tolist())])
+            yield curve_rows(points, values)
 
     output = args.output if args.output is not None else Path("curve.csv")
     write_text(output, csv_chunks())

@@ -200,8 +200,12 @@ def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
     shape (..., d) an array of shape (...).  Zero weights are left out of
     the sum.  For d >= 8 numpy's pairwise sum groups terms by position, so a
     zero summed in place could move the last bit; a row holding a zero
-    weight is therefore summed over its positive terms alone.
+    weight is therefore summed over its positive terms alone.  At d = 1,
+    where the base-d logarithm is undefined, every state is a product state
+    and scores 0.
     """
+    if d == 1:
+        return 0.0 if weights.ndim == 1 else np.zeros(weights.shape[:-1])
     if np.count_nonzero(weights) == weights.size:
         total = (weights * np.log(weights)).sum(-1)
     else:

@@ -1,6 +1,7 @@
 """Frozen-value tests for the core primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from equibasis import (
     entanglement,
     idft,
     root_of_unity,
+    state_entanglement,
     synthesize_coefficients,
 )
 
@@ -141,6 +143,36 @@ class TestEntanglement:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             entanglement(np.array([1.0, 1.0], dtype=complex))
+
+
+class TestOneLevel:
+    """d = 1 holds only product states: entropy 0, no warning, norm still checked."""
+
+    def test_vector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entanglement(np.array([1.0])) == 0.0
+            assert entanglement(np.array([-1j])) == 0.0
+
+    def test_stack(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entanglement(np.ones((3, 1)))
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.all(got == 0.0)
+
+    def test_state(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state_entanglement(np.array([[1.0]])) == 0.0
+
+    def test_unnormalized_is_still_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            entanglement(np.array([2.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            entanglement(np.array([[1.0], [2.0]]))
+        with pytest.raises(ValueError, match="not normalized"):
+            state_entanglement(np.array([[2.0]]))
 
 
 class TestDft:

@@ -6,7 +6,9 @@
 out through ``basis._support`` on fresh index arrays, and the entropy from
 ``np.abs(s) ** 2`` with a separate norm sum.  The projection step of the
 search skips its zero-modulus tie-break when no modulus is small; the
-reference always applies it.
+reference always applies it.  A search sweep takes its residual from the
+extremes of the moduli and its phases from ``arctan2``; the reference sweep
+takes ``max |mod - target|`` and ``np.angle``.
 """
 
 import math
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equibasis import basis, build_state, search, state_entanglement
+from equibasis import PhaseVector, basis, build_state, iterate_projections, search
+from equibasis import state_entanglement
 from equibasis.basis import EIGENVALUE_FLOOR
-from equibasis.core import NORM_TOL, _weights_entropy
+from equibasis.core import NORM_TOL, TWO_PI, _phase_matrix, _synthesize, _weights_entropy
 
 
 def reference_build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -56,6 +59,27 @@ def reference_project_unimodular(z: np.ndarray, radius: float) -> np.ndarray:
     mod = np.abs(z)
     safe = np.where(mod < search.ZERO_MODULUS, 1.0, mod)
     return np.where(mod < search.ZERO_MODULUS, radius + 0.0j, radius * z / safe)
+
+
+def reference_iterate_projections(theta: PhaseVector, max_iters: int, residual_tol: float):
+    """The sweep loop with the residual over all moduli and ``np.angle``."""
+    d = theta.d
+    target = 1.0 / math.sqrt(d)
+    inverse = _phase_matrix(d).conj().T
+    th = theta.theta.copy()
+    iterations = 0
+    while True:
+        a = _synthesize(th)
+        mod = np.abs(a)
+        residual = float(np.max(np.abs(mod - target)))
+        if residual < residual_tol or iterations >= max_iters:
+            break
+        c = (inverse @ reference_project_unimodular(a, target)) / math.sqrt(d)
+        th = np.angle(c)
+        th = np.where(np.abs(c) < search.ZERO_MODULUS, 0.0, th)
+        th = np.mod(th - th[0], TWO_PI)
+        iterations += 1
+    return PhaseVector(th).canonical(), residual, iterations
 
 
 def unit_vector(re, im) -> np.ndarray:
@@ -178,3 +202,23 @@ def test_projection_matches_reference(d, key, small):
     got = search._project_unimodular(z, radius, np.abs(z))
     want = reference_project_unimodular(z, radius)
     assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(2, 40),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    st.sampled_from([1e-10, 1e-3, 0.2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweeps_match_reference(d, key, tol):
+    """Same theta bits, residual and sweep count as the reference loop.
+
+    A key of None starts from the zero phases, whose synthesis is a delta:
+    its d - 1 other moduli are rounding noise, below ``ZERO_MODULUS`` (the
+    tie-break path of the projection) for small d.
+    """
+    start = PhaseVector(np.zeros(d)) if key is None else search._restart_phases(d, key, 0)
+    theta, residual, iterations = iterate_projections(start, 40, tol)
+    want_theta, want_residual, want_iterations = reference_iterate_projections(start, 40, tol)
+    assert theta.theta.tobytes() == want_theta.theta.tobytes()
+    assert (residual, iterations) == (want_residual, want_iterations)
