@@ -92,7 +92,10 @@ def build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def inner_product(x: np.ndarray, y: np.ndarray) -> complex:
-    """<x|y> = sum_{j,k} conj(x[j,k]) * y[j,k], conjugate-linear in x."""
+    """<x|y> = sum_{j,k} conj(x[j,k]) * y[j,k], conjugate-linear in x.
+
+    Unused by the library; kept for the tests, which import it from ``equibasis``.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape:
@@ -190,7 +193,10 @@ def state_entanglement(s: np.ndarray) -> float:
 
 
 def shift_state(s: np.ndarray, row_shifts: int, col_shifts: int) -> np.ndarray:
-    """Apply the cyclic shift to each axis: |j,k> -> |j+r, k+c| (mod d)."""
+    """Apply the cyclic shift to each axis: |j,k> -> |j+r, k+c| (mod d).
+
+    Unused by the library; kept for the tests, which import it from ``equibasis``.
+    """
     s = np.asarray(s, dtype=complex)
     d = s.shape[0]
     return np.roll(s, (row_shifts % d, col_shifts % d), axis=(0, 1))

@@ -32,14 +32,9 @@ import numpy as np
 
 from . import __version__
 from .basis import gram_check
-from .core import PhaseVector, entanglement, synthesize_coefficients
+from .core import PhaseVector, entanglement, flatness, synthesize_coefficients
 from .families import Family, interpolate, preset_phases
-from .search import (
-    CERT_ENTROPY_TOL,
-    CERT_RESIDUAL_TOL,
-    SearchConfig,
-    alternating_projection_search,
-)
+from .search import SearchConfig, SolutionCertificate, alternating_projection_search
 
 # Grid points per chunk of `curve`: one coefficient call (a family over an
 # array of parameters, or one stacked interpolation and synthesis), one
@@ -76,8 +71,8 @@ _ANGLE_RE = re.compile(
 )
 
 
-class ArgumentProblem(Exception):
-    """Invalid command-line input; reported on stderr, exit code 2."""
+class ArgumentProblem(ValueError):
+    """Invalid command-line input; reported on stderr with exit code 2, like any ValueError."""
 
 
 def parse_angle(token: str) -> float:
@@ -188,10 +183,20 @@ def write_manifest(output: Path, argv: list[str], config: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write one string, or an iterable of string chunks in order, to path."""
+def write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write an iterable of string chunks, in order, to path as UTF-8."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+        fh.writelines(chunks)
+
+
+def report(args, argv: list[str], payload: dict, config: dict) -> None:
+    """Print payload as indented JSON; with --output also write that text and
+    a newline to the file, with a manifest recording ``config``."""
+    text = json.dumps(payload, indent=2)
+    print(text)
+    if args.output is not None:
+        write_text(args.output, [text, "\n"])
+        write_manifest(args.output, argv, config)
 
 
 def say(args, message: str) -> None:
@@ -237,11 +242,7 @@ def resolve_source(args, max_rows: float = math.inf) -> tuple[np.ndarray, dict]:
         desc = {"family": family.value, "param_deg": args.param_deg}
     elif kind == "preset":
         d, variant = parse_preset_key(args.preset)
-        try:
-            entry = preset_phases(d, variant)
-        except ValueError as exc:
-            raise ArgumentProblem(str(exc)) from None
-        a = synthesize_coefficients(entry.theta0)
+        a = synthesize_coefficients(preset_phases(d, variant).theta0)
         desc = {"preset": {"d": d, "variant": variant}}
     else:
         a = parse_coefficients(args.coeffs)
@@ -419,41 +420,29 @@ def cmd_curve(args, argv: list[str]) -> int:
 
 def cmd_verify(args, argv: list[str]) -> int:
     a, desc = resolve_source(args)
-    d = a.size
-    report = gram_check(a)
-    e_value = entanglement(a)
-    residual = float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(d))))
-    maximal = (
-        residual < CERT_RESIDUAL_TOL
-        and report.passed
-        and abs(e_value - 1.0) < CERT_ENTROPY_TOL
+    # Gram first: a broken support map exits 4 before any entropy is computed.
+    cert = SolutionCertificate(
+        gram=gram_check(a), entanglement=entanglement(a), residual=flatness(a)
     )
-    certificate = {
-        "residual": residual,
-        "gram_max_offdiag": report.max_offdiag,
-        "gram_max_diag_dev": report.max_diag_dev,
-        "entanglement": e_value,
-        "maximal": maximal,
+    payload = {
+        "residual": cert.residual,
+        "gram_max_offdiag": cert.gram.max_offdiag,
+        "gram_max_diag_dev": cert.gram.max_diag_dev,
+        "entanglement": cert.entanglement,
+        "maximal": cert.maximal,
     }
-    text = json.dumps(certificate, indent=2)
-    print(text)
-    if args.output is not None:
-        write_text(args.output, text + "\n")
-        write_manifest(args.output, argv, {"source": desc, "d": d})
-    return 0 if report.passed else 1
+    report(args, argv, payload, {"source": desc, "d": a.size})
+    return 0 if cert.gram_pass else 1
 
 
 def cmd_search(args, argv: list[str]) -> int:
-    try:
-        cfg = SearchConfig(
-            d=args.d,
-            max_iters=args.max_iters,
-            residual_tol=args.tol,
-            restarts=args.restarts,
-            rng_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ArgumentProblem(str(exc)) from None
+    cfg = SearchConfig(
+        d=args.d,
+        max_iters=args.max_iters,
+        residual_tol=args.tol,
+        restarts=args.restarts,
+        rng_seed=args.seed,
+    )
     result = alternating_projection_search(cfg)
     payload = {
         "d": cfg.d,
@@ -464,21 +453,14 @@ def cmd_search(args, argv: list[str]) -> int:
         "converged": result.converged,
         "restart_index": result.restart_index,
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.output is not None:
-        write_text(args.output, text + "\n")
-        write_manifest(
-            args.output,
-            argv,
-            {
-                "d": cfg.d,
-                "seed": cfg.rng_seed,
-                "restarts": cfg.restarts,
-                "max_iters": cfg.max_iters,
-                "residual_tol": cfg.residual_tol,
-            },
-        )
+    config = {
+        "d": cfg.d,
+        "seed": cfg.rng_seed,
+        "restarts": cfg.restarts,
+        "max_iters": cfg.max_iters,
+        "residual_tol": cfg.residual_tol,
+    }
+    report(args, argv, payload, config)
     return 0 if result.converged else 1
 
 
@@ -507,17 +489,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--quiet", action="store_true", help="suppress status messages")
 
+    family_help = "one of: " + ", ".join(f.value for f in Family)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--d", type=int, help="dimension (checked against the source)")
+    source.add_argument("--theta", help="comma-separated phases in radians (pi syntax ok)")
+    source.add_argument("--family", help=family_help)
+    source.add_argument("--param-deg", type=float, help="family parameter in degrees")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "construct",
-        parents=[common],
+        parents=[common, source],
         help="materialize all d^2 basis states from phases or a family",
     )
-    p.add_argument("--d", type=int, help="dimension (checked against the source)")
-    p.add_argument("--theta", help="comma-separated phases in radians (pi syntax ok)")
-    p.add_argument("--family", help="one of: " + ", ".join(f.value for f in Family))
-    p.add_argument("--param-deg", type=float, help="family parameter in degrees")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser(
@@ -525,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="CSV of entanglement vs parameter for a family or interpolation",
     )
-    p.add_argument("--family", help="one of: " + ", ".join(f.value for f in Family))
+    p.add_argument("--family", help=family_help)
     p.add_argument("--preset", help="flat-phase endpoint, e.g. d=4,v=0")
     p.add_argument("--theta0", help="explicit endpoint phases (radians, pi syntax ok)")
     p.add_argument(
@@ -540,13 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, source],
         help="print an orthonormality / maximal-entanglement certificate",
     )
-    p.add_argument("--d", type=int, help="dimension (checked against the source)")
-    p.add_argument("--theta", help="comma-separated phases in radians (pi syntax ok)")
-    p.add_argument("--family", help="one of: " + ", ".join(f.value for f in Family))
-    p.add_argument("--param-deg", type=float, help="family parameter in degrees")
     p.add_argument("--preset", help="flat-phase endpoint, e.g. d=5,v=0")
     p.add_argument("--coeffs", help="raw coefficients 're,im;re,im;...'")
     p.set_defaults(func=cmd_verify)
@@ -576,10 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_finite_flags(args)
         return args.func(args, argv)
-    except ArgumentProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ArgumentProblem and the library's own rejections
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -93,6 +93,8 @@ def root_of_unity(d: int, p: int) -> complex:
 
     Exactly 1+0j whenever p is a multiple of d; otherwise evaluated from
     the argument reduced mod d.
+
+    Unused by the library; kept for the tests, which import it from ``equibasis``.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -122,6 +124,8 @@ def dft(v: np.ndarray) -> np.ndarray:
 
     Sign convention: positive exponent forward, so a delta maps to the flat
     vector (1/sqrt(d), ..., 1/sqrt(d)).  :func:`idft` is the inverse.
+
+    Unused by the library; kept for the tests, which import it from ``equibasis``.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.size == 0:
@@ -131,7 +135,10 @@ def dft(v: np.ndarray) -> np.ndarray:
 
 
 def idft(w: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft` (conjugate kernel, same normalization)."""
+    """Inverse of :func:`dft` (conjugate kernel, same normalization).
+
+    Unused by the library; kept for the tests, which import it from ``equibasis``.
+    """
     w = np.asarray(w, dtype=complex)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("idft expects a nonempty 1-d vector")
@@ -191,6 +198,15 @@ def entanglement(a: np.ndarray) -> float | np.ndarray:
     if off.any():
         raise ValueError(f"coefficient vector is not normalized: |a| = {float(norm[off][0])!r}")
     return _weights_entropy(weights / total, a.shape[-1])
+
+
+def flatness(a: np.ndarray) -> float:
+    """Flatness residual max_k | |a_k| - 1/sqrt(d) |, zero exactly at flat moduli.
+
+    The one definition read by the certificate, ``verify`` and the preset
+    check; the search sweep takes the same float from the moduli's extremes.
+    """
+    return float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(a.size))))
 
 
 def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseVector, synthesize_coefficients
+from .core import PhaseVector, flatness, synthesize_coefficients
 
 # A preset must synthesize to moduli within this distance of 1/sqrt(d).  The
 # rounding error of a synthesized modulus is at most about d * eps = 5.7e-14
@@ -213,7 +213,6 @@ def quadratic_phases(d: int) -> PhaseVector:
 
 
 def _check_flat(theta0: PhaseVector) -> None:
-    a = synthesize_coefficients(theta0)
-    deviation = float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(theta0.d))))
+    deviation = flatness(synthesize_coefficients(theta0))
     if deviation > FLATNESS_TOL:
         raise RuntimeError(f"preset phases are not flat: deviation {deviation!r}")

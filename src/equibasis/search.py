@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import GramReport, gram_check
 from .core import PhaseVector, TWO_PI, _phase_matrix, _synthesize
-from .core import entanglement, synthesize_coefficients
+from .core import entanglement, flatness, synthesize_coefficients
 
 # Moduli below this are projected with tie-break phase 0 (measure-zero event).
 # It guards the division z / |z| of a sweep against a modulus with no usable
@@ -61,6 +61,8 @@ class SearchConfig:
             raise ValueError("iteration and restart counts must be positive")
         if self.residual_tol <= 0.0:
             raise ValueError("residual tolerance must be positive")
+        if not 0 <= self.rng_seed < 2**64:  # the Philox key is unsigned 64-bit
+            raise ValueError(f"seed must be in [0, 2**64), got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,12 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class SolutionCertificate:
-    """Bundled evidence for one phase vector: flatness residual, brute-force
-    Gram report, and entanglement of the seed state."""
+    """Bundled evidence for one coefficient vector: flatness residual,
+    brute-force Gram report, and entanglement of the seed state.
+
+    ``maximal`` is the one certificate rule, read by :func:`verify_solution`
+    and by the ``verify`` command.
+    """
 
     residual: float
     gram: GramReport
@@ -102,8 +108,7 @@ def flatness_residual(theta: PhaseVector) -> float:
     Zero means a maximally entangled endpoint; the all-zero phases score
     1 - 1/sqrt(d), the largest value the synthesis can produce.
     """
-    a = synthesize_coefficients(theta)
-    return float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(theta.d))))
+    return flatness(synthesize_coefficients(theta))
 
 
 def _project_unimodular(
@@ -141,8 +146,10 @@ def iterate_projections(
     while True:
         a = _synthesize(th)
         mod = np.abs(a)
-        # max |mod - target| from the extremes: x - target rounds monotonically
-        # in x, so this is the same float; a NaN makes both extremes NaN.
+        # core.flatness from the extremes: x - target rounds monotonically in
+        # x, so this is the same float; a NaN makes both extremes NaN.  The
+        # sweep keeps its own form because it needs mod and lo for the
+        # projection, which flatness would have to return for this caller only.
         hi, lo = mod.max(), mod.min()
         residual = float(max(hi - target, target - lo))
         if residual < residual_tol or iterations >= max_iters:
@@ -204,12 +211,13 @@ def verify_solution(theta: PhaseVector) -> SolutionCertificate:
     """Independent certificate for a phase vector.
 
     Combines the flatness residual, the brute-force Gram check of all d^2
-    states, and the entanglement of the seed state.  ``maximal`` holds iff
-    residual < 1e-9, the Gram check passes, and |E - 1| < 1e-9.
+    states, and the entanglement of the seed state, all read off one
+    synthesis.  ``maximal`` holds iff residual < 1e-9, the Gram check
+    passes, and |E - 1| < 1e-9.
     """
     a = synthesize_coefficients(theta)
     return SolutionCertificate(
-        residual=flatness_residual(theta),
+        residual=flatness(a),
         gram=gram_check(a),
         entanglement=entanglement(a),
     )

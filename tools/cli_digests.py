@@ -2,11 +2,12 @@
 
 Each run is an in-process call of ``equibasis.cli.main(argv)`` inside a
 fresh temporary directory.  One line ``sha256  name`` is printed per data
-file and per captured stdout, and one line ``exit N  name`` per run.
-Manifests are skipped: they carry a timestamp.  The runs cover curves of
-all four families, every preset and ``--theta0`` at d = 64 and 256,
+file and per captured stdout and stderr, and one line ``exit N  name`` per
+run.  Manifests are skipped: they carry a timestamp.  The runs cover curves
+of all four families, every preset and ``--theta0`` at d = 64 and 256,
 ``construct`` in JSON and CSV to a file and to stdout, ``verify`` and
-``search``.
+``search``, the exit-2 error paths of bad sources and search settings, and
+``--help`` of the program and of each subcommand (at a fixed ``COLUMNS``).
 
 Run the same script against two source trees and compare the listings to
 check that a change keeps every CLI output byte for byte:
@@ -49,8 +50,9 @@ def grid(start: str, stop: str, step: str) -> list[str]:
 def runs() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, in order.
 
-    A run whose name ends in ``-stdout`` writes to stdout only; every other
-    run also gets ``--output NAME.json`` or ``NAME.csv``.
+    A run whose name ends in ``-stdout``, or starts with ``error-`` or
+    ``help-``, writes to stdout only; every other run also gets
+    ``--output NAME.json`` or ``NAME.csv``.
     """
     out = []
     for family in ("d3-real", "d3-complex", "d4-real", "d4-complex"):
@@ -89,7 +91,19 @@ def runs() -> list[tuple[str, list[str]]]:
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
         ("search-d12-capped", ["search", "--d", "12", "--restarts", "1", "--max-iters", "200"]),
+        ("error-verify-unknown-preset", ["verify", "--preset", "d=7"]),
+        ("error-curve-unknown-preset",
+         ["curve", "--interpolate", "--preset", "d=7", *grid("0", "1", "0.5")]),
+        ("error-search-d1", ["search", "--d", "1"]),
+        ("error-search-restarts-0", ["search", "--d", "4", "--restarts", "0"]),
+        ("error-search-max-iters-0", ["search", "--d", "4", "--max-iters", "0"]),
+        ("error-search-tol-0", ["search", "--d", "4", "--tol", "0"]),
+        ("error-verify-bad-coeffs", ["verify", "--coeffs=1,0;2"]),
+        ("error-verify-pi-over-0", ["verify", "--theta", "0,pi/0"]),
+        ("error-verify-conflicting-d", ["verify", "--d", "5", "--preset", "d=4"]),
+        ("help-top", ["--help"]),
     ]
+    out += [(f"help-{cmd}", [cmd, "--help"]) for cmd in ("construct", "curve", "verify", "search")]
     return out
 
 
@@ -99,21 +113,23 @@ def digest(data: bytes) -> str:
 
 def main_digests() -> int:
     print(f"equibasis from {Path(equibasis.__file__).parent}", file=sys.stderr)
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative --output paths keep the "wrote ..." lines fixed
         try:
             for name, argv in runs():
                 data_file = None
-                if not name.endswith("-stdout"):
+                if not (name.endswith("-stdout") or name.startswith(("error-", "help-"))):
                     csv = argv[0] == "curve" or "csv" in argv
                     data_file = Path(name + (".csv" if csv else ".json"))
                     argv = argv + ["--output", str(data_file)]
-                captured = io.StringIO()
-                with contextlib.redirect_stdout(captured):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
                 print(f"exit {code}  {name}")
-                print(f"{digest(captured.getvalue().encode('utf-8'))}  {name}.stdout")
+                print(f"{digest(out.getvalue().encode('utf-8'))}  {name}.stdout")
+                print(f"{digest(err.getvalue().encode('utf-8'))}  {name}.stderr")
                 if data_file is not None:
                     print(f"{digest(data_file.read_bytes())}  {data_file}")
         finally:
