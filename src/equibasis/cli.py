@@ -131,14 +131,6 @@ def check_finite_flags(args) -> None:
             raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
 
 
-def parse_family(name: str) -> Family:
-    try:
-        return Family(name)
-    except ValueError:
-        valid = ", ".join(f.value for f in Family)
-        raise ArgumentProblem(f"unknown family {name!r}; choose from: {valid}") from None
-
-
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive, strictly increasing grid start, start+step, ..., stop.
 
@@ -206,46 +198,69 @@ def say(args, message: str) -> None:
 
 # --- coefficient sources -------------------------------------------------
 
+# Every source flag, in the order the no-source message lists them.
+SOURCE_FLAGS = ("theta", "theta0", "family", "preset", "coeffs")
+FAMILY_NAMES = ", ".join(f.value for f in Family)
+
+
+def read_source(
+    args, usable: tuple[str, ...] = SOURCE_FLAGS, misuse: str = ""
+) -> tuple[PhaseVector | Family | np.ndarray, dict]:
+    """The one coefficient source of ``construct``, ``verify`` or ``curve``.
+
+    Exactly one of the source flags the subcommand defines must be given,
+    and it must be one of ``usable`` (else ``misuse`` is the error), checked
+    before its value is parsed.  Returns the parsed seed, a
+    :class:`PhaseVector` (--theta, --theta0, --preset), a :class:`Family`
+    (--family) or raw coefficients (--coeffs), with its description for the
+    output and manifest.
+    """
+    defined = [name for name in SOURCE_FLAGS if name in vars(args)]
+    given = [name for name in defined if getattr(args, name) is not None]
+    if len(given) != 1:
+        flags = " | ".join("--" + name for name in defined)
+        raise ArgumentProblem(f"exactly one coefficient source required ({flags})")
+    kind = given[0]
+    if kind not in usable:
+        raise ArgumentProblem(misuse)
+    text = getattr(args, kind)
+    if kind == "family":
+        try:
+            family = Family(text)
+        except ValueError:
+            raise ArgumentProblem(f"unknown family {text!r}; choose from: {FAMILY_NAMES}") from None
+        return family, {"family": family.value}
+    if kind == "preset":
+        d, variant = parse_preset_key(text)
+        return preset_phases(d, variant).theta0, {"preset": {"d": d, "variant": variant}}
+    if kind == "coeffs":
+        return parse_coefficients(text), {"coeffs": text}
+    theta = PhaseVector(parse_angle_list(text))
+    return theta, {kind + "_rad": [float(t) for t in theta.theta]}
+
+
 def resolve_source(args, max_rows: float = math.inf) -> tuple[np.ndarray, dict]:
     """Turn the coefficient-source flags into (coefficients, description).
 
-    Exactly one of --theta, --family, --preset, --coeffs must be given
-    (only the flags the subcommand actually defines are considered).  A
-    --theta of d phases whose basis has more than ``max_rows`` rows (d^3)
-    is refused before it is synthesized.
+    The source is read by :func:`read_source`.  A --theta of d phases whose
+    basis has more than ``max_rows`` rows (d^3) is refused before it is
+    synthesized.
     """
-    sources = [
-        name
-        for name in ("theta", "family", "preset", "coeffs")
-        if getattr(args, name, None) is not None
-    ]
-    if len(sources) != 1:
-        raise ArgumentProblem(
-            "exactly one coefficient source required (--theta | --family | --preset | --coeffs)"
-        )
-    kind = sources[0]
-
-    if kind == "theta":
-        theta = PhaseVector(parse_angle_list(args.theta))
-        if theta.d**3 > max_rows:
+    seed, desc = read_source(args)
+    if isinstance(seed, PhaseVector):
+        if seed.d**3 > max_rows:
             raise ArgumentProblem(
-                f"--theta has {theta.d} phases: the basis would have {theta.d**3} rows, "
+                f"--theta has {seed.d} phases: the basis would have {seed.d**3} rows, "
                 f"more than {max_rows}"
             )
-        a = synthesize_coefficients(theta)
-        desc = {"theta_rad": [float(t) for t in theta.theta]}
-    elif kind == "family":
-        family = parse_family(args.family)
+        a = synthesize_coefficients(seed)
+    elif isinstance(seed, Family):
         if args.param_deg is None:
             raise ArgumentProblem("--family requires --param-deg")
-        a = family.coefficients(math.radians(args.param_deg))
-        desc = {"family": family.value, "param_deg": args.param_deg}
-    elif kind == "preset":
-        d, variant = parse_preset_key(args.preset)
-        a = synthesize_coefficients(preset_phases(d, variant).theta0)
-        desc = {"preset": {"d": d, "variant": variant}}
+        a = seed.coefficients(math.radians(args.param_deg))
+        desc = dict(desc, param_deg=args.param_deg)
     else:
-        a = parse_coefficients(args.coeffs)
+        a = seed
         scale = float(np.abs(a.view(float)).max())
         if scale == 0.0:
             raise ArgumentProblem("coefficients must not all be zero")
@@ -259,7 +274,6 @@ def resolve_source(args, max_rows: float = math.inf) -> tuple[np.ndarray, dict]:
             a = (a.view(float) / scale).view(complex)
             norm = float(np.linalg.norm(a))
         a = a / norm  # escape hatch accepts hand-typed, roughly normalized input
-        desc = {"coeffs": args.coeffs}
 
     if getattr(args, "d", None) is not None and args.d != a.size:
         raise ArgumentProblem(f"--d {args.d} conflicts with source dimension {a.size}")
@@ -281,7 +295,7 @@ def cmd_construct(args, argv: list[str]) -> int:
         sys.stdout.writelines(chunks)
     else:
         write_text(args.output, chunks)
-        write_manifest(args.output, argv, {"source": desc, "d": a.size, "format": args.format})
+        write_manifest(args.output, argv, {"source": desc, "d": a.size, "format": fmt})
         say(args, f"wrote {args.output}")
     return 0
 
@@ -366,33 +380,23 @@ def cmd_curve(args, argv: list[str]) -> int:
         raise ArgumentProblem("curve output is CSV only")
 
     if args.interpolate:
-        if args.family is not None:
-            raise ArgumentProblem("--interpolate works with --preset or --theta0, not --family")
-        if args.preset is not None:
-            d, variant = parse_preset_key(args.preset)
-            theta0 = preset_phases(d, variant).theta0
-            desc = {"preset": {"d": d, "variant": variant}, "interpolate": True}
-        elif args.theta0 is not None:
-            theta0 = PhaseVector(parse_angle_list(args.theta0))
-            desc = {"theta0_rad": [float(t) for t in theta0.theta], "interpolate": True}
-        else:
-            raise ArgumentProblem("--interpolate requires --preset or --theta0")
+        misuse = "--interpolate works with --preset or --theta0, not --family"
+        seed, desc = read_source(args, ("theta0", "preset"), misuse)
         if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
             raise ArgumentProblem("interpolation range must lie within [0, 1]")
+        desc = dict(desc, interpolate=True)
 
         def coefficients(points: np.ndarray) -> np.ndarray:
-            return synthesize_coefficients(interpolate(theta0, points))
+            return synthesize_coefficients(interpolate(seed, points))
 
     else:
-        if args.family is None:
-            raise ArgumentProblem("curve needs --family, or --interpolate with a seed")
-        family = parse_family(args.family)
+        misuse = "curve needs --family, or --interpolate with a seed"
+        seed, desc = read_source(args, ("family",), misuse)
         if not (0.0 <= args.start <= 360.0 and 0.0 <= args.stop <= 360.0):
             raise ArgumentProblem("parameter range must lie within [0, 360] degrees")
-        desc = {"family": family.value}
 
         def coefficients(points: np.ndarray) -> np.ndarray:
-            return family.coefficients(np.radians(points))
+            return seed.coefficients(np.radians(points))
 
     grid = make_grid(args.start, args.stop, args.step)
     best_e, best_p = -1.0, 0.0
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--quiet", action="store_true", help="suppress status messages")
 
-    family_help = "one of: " + ", ".join(f.value for f in Family)
+    family_help = "one of: " + FAMILY_NAMES
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--d", type=int, help="dimension (checked against the source)")
     source.add_argument("--theta", help="comma-separated phases in radians (pi syntax ok)")
@@ -538,10 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="alternating-projection search for flat phases",
     )
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--tol", type=float, default=SearchConfig.residual_tol)
+    p.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -51,6 +51,14 @@ ORTHO_TOL = 1e-12
 # 6.7e-16 at d = 128, 3.6e-15 at d = 256.
 NORM_TOL = 1e-9
 
+# Largest flatness residual (see :func:`flatness`) of a flat-modulus vector:
+# the preset check and the certificate both read it.  Each coefficient is a
+# sum of d unit-modulus terms scaled by 1/d, so its modulus errs by at most
+# about d * eps = 5.7e-14 at d = 256, and the residual of an exact endpoint
+# stays far below 1e-9 (measured for quadratic phases: 2.3e-15 / 4.1e-15 /
+# 5.6e-15 at d = 64 / 128 / 256).
+FLATNESS_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseVector:

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseVector, flatness, synthesize_coefficients
-
-# A preset must synthesize to moduli within this distance of 1/sqrt(d).  The
-# rounding error of a synthesized modulus is at most about d * eps = 5.7e-14
-# at d = 256, as for ``search.CERT_RESIDUAL_TOL``; measured worst deviation
-# for quadratic phases 2.3e-15 / 4.1e-15 / 5.6e-15 at d = 64 / 128 / 256.
-FLATNESS_TOL = 1e-9
+from .core import FLATNESS_TOL, PhaseVector, flatness, synthesize_coefficients
 
 
 def family_d3_real(phi: float | np.ndarray) -> np.ndarray:

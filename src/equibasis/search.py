@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import GramReport, gram_check
 from .core import PhaseVector, TWO_PI, _phase_matrix, _synthesize
-from .core import entanglement, flatness, synthesize_coefficients
+from .core import FLATNESS_TOL, entanglement, flatness, synthesize_coefficients
 
 # Moduli below this are projected with tie-break phase 0 (measure-zero event).
 # It guards the division z / |z| of a sweep against a modulus with no usable
@@ -33,14 +33,13 @@ from .core import entanglement, flatness, synthesize_coefficients
 # 256); such an entry keeps the phase of its noise, which is deterministic.
 ZERO_MODULUS = 1e-15
 
-# Certificate thresholds for a maximally entangled basis.  Each coefficient
-# is a sum of d unit-modulus terms scaled by 1/d, so its modulus errs by at
-# most about d * eps = 5.7e-14 at d = 256; the flatness residual of an exact
-# endpoint stays far below 1e-9 (measured for quadratic phases: 2.3e-15 /
-# 4.1e-15 / 5.6e-15 at d = 64 / 128 / 256).  The entropy of a flat vector
-# departs from 1 only to second order in those deviations, plus the rounding
-# of a d-term sum (again about d * eps); measured |E - 1|: 0 / 0 / 1.1e-16.
-CERT_RESIDUAL_TOL = 1e-9
+# Certificate thresholds for a maximally entangled basis.  The residual bound
+# is the flatness bound of :mod:`equibasis.core` (argued there).  The entropy
+# of a flat vector departs from 1 only to second order in the modulus
+# deviations, plus the rounding of a d-term sum (about d * eps = 5.7e-14 at
+# d = 256); measured |E - 1| for quadratic phases: 0 / 0 / 1.1e-16 at
+# d = 64 / 128 / 256.
+CERT_RESIDUAL_TOL = FLATNESS_TOL
 CERT_ENTROPY_TOL = 1e-9
 
 
@@ -55,12 +54,17 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d", "max_iters", "restarts", "rng_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         if self.max_iters <= 0 or self.restarts <= 0:
             raise ValueError("iteration and restart counts must be positive")
         if self.residual_tol <= 0.0:
             raise ValueError("residual tolerance must be positive")
+        if not math.isfinite(self.residual_tol):
+            raise ValueError(f"residual tolerance must be finite, got {self.residual_tol}")
         if not 0 <= self.rng_seed < 2**64:  # the Philox key is unsigned 64-bit
             raise ValueError(f"seed must be in [0, 2**64), got {self.rng_seed}")
 
@@ -212,8 +216,8 @@ def verify_solution(theta: PhaseVector) -> SolutionCertificate:
 
     Combines the flatness residual, the brute-force Gram check of all d^2
     states, and the entanglement of the seed state, all read off one
-    synthesis.  ``maximal`` holds iff residual < 1e-9, the Gram check
-    passes, and |E - 1| < 1e-9.
+    synthesis.  ``maximal`` holds iff residual < ``CERT_RESIDUAL_TOL``, the
+    Gram check passes, and |E - 1| < ``CERT_ENTROPY_TOL``.
     """
     a = synthesize_coefficients(theta)
     return SolutionCertificate(

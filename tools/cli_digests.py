@@ -6,8 +6,9 @@ file and per captured stdout and stderr, and one line ``exit N  name`` per
 run.  Manifests are skipped: they carry a timestamp.  The runs cover curves
 of all four families, every preset and ``--theta0`` at d = 64 and 256,
 ``construct`` in JSON and CSV to a file and to stdout, ``verify`` and
-``search``, the exit-2 error paths of bad sources and search settings, and
-``--help`` of the program and of each subcommand (at a fixed ``COLUMNS``).
+``search``, the exit-2 error paths of bad sources, curve settings and search
+settings, and ``--help`` of the program and of each subcommand (at a fixed
+``COLUMNS``).
 
 Run the same script against two source trees and compare the listings to
 check that a change keeps every CLI output byte for byte:
@@ -101,6 +102,14 @@ def runs() -> list[tuple[str, list[str]]]:
         ("error-verify-bad-coeffs", ["verify", "--coeffs=1,0;2"]),
         ("error-verify-pi-over-0", ["verify", "--theta", "0,pi/0"]),
         ("error-verify-conflicting-d", ["verify", "--d", "5", "--preset", "d=4"]),
+        ("error-curve-interpolate-family",
+         ["curve", "--interpolate", "--family", "d3-real", *grid("0", "1", "0.5")]),
+        ("error-curve-preset-without-interpolate",
+         ["curve", "--preset", "d=3", *grid("0", "1", "0.5")]),
+        ("error-curve-pi-over-0",
+         ["curve", "--interpolate", "--theta0", "0,pi/0", *grid("0", "1", "0.5")]),
+        ("error-curve-range-above-1",
+         ["curve", "--interpolate", "--preset", "d=3", *grid("0", "1.5", "0.5")]),
         ("help-top", ["--help"]),
     ]
     out += [(f"help-{cmd}", [cmd, "--help"]) for cmd in ("construct", "curve", "verify", "search")]
