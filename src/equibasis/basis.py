@@ -111,9 +111,15 @@ def gram_check(a: np.ndarray) -> GramReport:
     k - j = n (mod d) once, so the d diagonals tile the d x d grid.  States
     of different n then share no cell, and their Gram entries are exactly
     zero.  Each same-n block <psi_mn|psi_m'n> is a direct sum over the d
-    shared cells, formed one d x d block at a time: O(d^4) time, O(d^2)
-    memory.  ``worst_pair`` breaks ties as the dense d^2 x d^2 matrix would,
-    at the smallest row-major index (m*d + n, m'*d + n').
+    shared cells, formed one d x d block at a time in O(d^2) memory.  The
+    block is fixed by the rows the map gives label n (state m puts a_i on
+    row rows[m, i]), so a label whose rows equal those of the last block
+    computed is checked but not multiplied again.  With the layout of
+    :func:`_support` every label has the same rows: one product, and
+    O(d^3 log d) time for the per-label checks; a map whose rows change
+    with n costs O(d^4).  ``worst_pair`` breaks ties as the dense
+    d^2 x d^2 matrix would, at the smallest row-major index
+    (m*d + n, m'*d + n').
 
     Failure of orthonormality is reported in the maxima, never raised.
     Non-finite coefficients raise ValueError; a support map that breaks the
@@ -129,6 +135,7 @@ def gram_check(a: np.ndarray) -> GramReport:
     max_offdiag = 0.0  # the zero entries between different n
     max_diag_dev = 0.0
     worst = (1.0, 0, 0)  # least (-deviation, row, col) in the dense d^2 x d^2 matrix
+    done = None  # the rows of the last block computed
     for n in range(d):
         rows, cols = _support(d, m, n, i)
         if np.any((cols - rows) % d != n) or np.any(np.sort(rows, axis=1) != i):
@@ -136,6 +143,12 @@ def gram_check(a: np.ndarray) -> GramReport:
                 f"internal invariant violated: a state of label {n} does not "
                 f"cover wrapped diagonal {n} exactly once"
             )
+        # The block depends on n only through rows.  Equal rows give the same
+        # maxima, and their ties sit at a larger row-major index than those
+        # already folded in, so the report cannot change.
+        if done is not None and np.array_equal(rows, done):
+            continue
+        done = rows
         # amp[m, j] is the amplitude of state (m, n) on cell (j, j+n).
         amp = np.zeros((d, d), dtype=complex)
         amp[m, rows] = a
@@ -164,24 +177,31 @@ def state_entanglement(s: np.ndarray) -> float:
     route, fully independent of the coefficient-modulus shortcut in
     :func:`equibasis.core.entanglement`: it reads only M, never the
     coefficients, an FFT or the synthesis.  The diagonal of rho_A, the row
-    sums of |M|^2, comes from one ``einsum`` over the real and imaginary
-    parts of M, and the norm is summed from it.  When no column of M holds
-    more than one nonzero entry (every basis state is such a monomial
-    matrix), rho_A is exactly diagonal and these row sums are its
-    spectrum; any other M is diagonalized.
+    sums of |M|^2, comes from one ``vecdot`` of the real and imaginary
+    parts of M with themselves, and the norm is summed from it.  When no
+    column of M holds more than one nonzero entry (every basis state is
+    such a monomial matrix), rho_A is exactly diagonal and these row sums
+    are its spectrum; any other M is diagonalized.  The monomial test reads
+    the float view too: a mask with one entry per cell, nonzero where the
+    re or im part is, whose count of nonzero cells equals its count of
+    nonzero columns exactly when every column has at most one.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"state must be a square amplitude matrix, got {s.shape}")
     d = s.shape[0]
     parts = np.ascontiguousarray(s).view(float)  # row j: re, im of M[j, 0], M[j, 1], ...
-    rows = np.einsum("ij,ij->i", parts, parts)
-    total = float(rows.sum())
+    rows = np.vecdot(parts, parts)
+    total = float(np.add.reduce(rows))
     norm = math.sqrt(total)
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
         raise ValueError(f"state is not normalized: |s| = {norm!r}")
 
-    if (s != 0).sum(axis=0).max() <= 1:
+    # One uint16 per cell, nonzero when its re or im part is (-0.0 counts as
+    # zero).  Every nonzero column holds one nonzero cell exactly when the
+    # two counts agree.
+    cells = (parts != 0.0).view(np.uint16)
+    if np.count_nonzero(cells) == np.count_nonzero(np.logical_or.reduce(cells, axis=0)):
         lam = rows / total
     else:
         lam = np.linalg.eigvalsh(s @ s.conj().T)

@@ -6,8 +6,9 @@ plots) and converted to radians exactly once at this boundary; explicit
 phase lists accept radians with a small `pi` syntax (``pi``, ``pi/2``,
 ``2pi/3``).  Structured results are JSON, curves are CSV, and every output
 file gets a ``*.manifest.json`` sibling recording the command, config and
-versions.  Data files are byte-identical across repeated runs; only the
-manifest carries a timestamp.
+versions (``verify``'s also names each certificate check with its value,
+tolerance and verdict).  Data files are byte-identical across repeated
+runs; only the manifest carries a timestamp.
 
 Exit codes: 0 success, 1 failed verification or non-converged search,
 2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
@@ -164,13 +165,16 @@ def versions_line() -> str:
     )
 
 
-def write_manifest(output: Path, argv: list[str], config: dict) -> None:
-    manifest = {
-        "command": "equibasis " + " ".join(argv),
-        "config": config,
-        "versions": versions_line(),
-        "timestamp": utc_timestamp(),
-    }
+def write_manifest(
+    output: Path, argv: list[str], config: dict, checks: list[dict] | None = None
+) -> None:
+    """Write the ``*.manifest.json`` sibling of output.  ``checks``, when
+    given, is recorded in its own block after ``config``."""
+    manifest = {"command": "equibasis " + " ".join(argv), "config": config}
+    if checks is not None:
+        manifest["checks"] = checks
+    manifest["versions"] = versions_line()
+    manifest["timestamp"] = utc_timestamp()
     path = output.with_suffix(".manifest.json")
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -181,14 +185,17 @@ def write_text(path: Path, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def report(args, argv: list[str], payload: dict, config: dict) -> None:
+def report(
+    args, argv: list[str], payload: dict, config: dict, checks: list[dict] | None = None
+) -> None:
     """Print payload as indented JSON; with --output also write that text and
-    a newline to the file, with a manifest recording ``config``."""
+    a newline to the file, with a manifest recording ``config`` (and
+    ``checks``, when given)."""
     text = json.dumps(payload, indent=2)
     print(text)
     if args.output is not None:
         write_text(args.output, [text, "\n"])
-        write_manifest(args.output, argv, config)
+        write_manifest(args.output, argv, config, checks)
 
 
 def say(args, message: str) -> None:
@@ -435,7 +442,8 @@ def cmd_verify(args, argv: list[str]) -> int:
         "entanglement": cert.entanglement,
         "maximal": cert.maximal,
     }
-    report(args, argv, payload, {"source": desc, "d": a.size})
+    checks = [check._asdict() for check in cert.checks]
+    report(args, argv, payload, {"source": desc, "d": a.size}, checks)
     return 0 if cert.gram_pass else 1
 
 

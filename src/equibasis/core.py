@@ -231,7 +231,7 @@ def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
     if d == 1:
         return 0.0 if weights.ndim == 1 else np.zeros(weights.shape[:-1])
     if np.count_nonzero(weights) == weights.size:
-        total = (weights * np.log(weights)).sum(-1)
+        total = np.add.reduce(weights * np.log(weights), axis=-1)
     else:
         positive = weights > 0.0
         nonzero = weights[positive]

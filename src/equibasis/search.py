@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import GramReport, gram_check
 from .core import PhaseVector, TWO_PI, _phase_matrix, _synthesize
-from .core import FLATNESS_TOL, entanglement, flatness, synthesize_coefficients
+from .core import FLATNESS_TOL, ORTHO_TOL, entanglement, flatness, synthesize_coefficients
 
-# Moduli below this are projected with tie-break phase 0 (measure-zero event).
-# It guards the division z / |z| of a sweep against a modulus with no usable
+# Moduli below this are projected with tie-break phase 0.  The tie-break
+# guards the division z / |z| of a sweep against a modulus with no usable
 # phase (0 / 0 is NaN), not against rounding: near a flat endpoint every
 # modulus is about 1/sqrt(d) >= 0.0625 for d <= 256 (measured minima for
 # quadratic phases 0.125 / 0.088 / 0.0625 at d = 64 / 128 / 256, on both
@@ -31,6 +32,10 @@ from .core import FLATNESS_TOL, entanglement, flatness, synthesize_coefficients
 # comes out as the rounding noise of its d-term sum, which exceeds 1e-15 from
 # about d = 12 on (zero phases: 2.5e-15 / 4.5e-15 / 1.1e-14 at d = 64 / 128 /
 # 256); such an entry keeps the phase of its noise, which is deterministic.
+# So the tie-break is not "phase 0 for every vanishing coefficient": zero
+# phases at d = 8 put all 7 off-peak moduli below 1e-15, at d = 64 16 of the
+# 63 lie above it.  Moving the threshold would change search bits, the
+# pinned thetas and bench/search_pool.json.
 ZERO_MODULUS = 1e-15
 
 # Certificate thresholds for a maximally entangled basis.  The residual bound
@@ -80,13 +85,22 @@ class SearchResult:
     restart_index: int
 
 
+class CertificateCheck(NamedTuple):
+    """One certificate check: it passes when value < tolerance (never on NaN)."""
+
+    name: str
+    value: float
+    tolerance: float
+    passed: bool
+
+
 @dataclass(frozen=True)
 class SolutionCertificate:
     """Bundled evidence for one coefficient vector: flatness residual,
     brute-force Gram report, and entanglement of the seed state.
 
-    ``maximal`` is the one certificate rule, read by :func:`verify_solution`
-    and by the ``verify`` command.
+    ``checks`` is the one certificate rule and ``maximal`` its verdict,
+    read by :func:`verify_solution` and by the ``verify`` command.
     """
 
     residual: float
@@ -98,12 +112,20 @@ class SolutionCertificate:
         return self.gram.passed
 
     @property
-    def maximal(self) -> bool:
-        return (
-            self.residual < CERT_RESIDUAL_TOL
-            and self.gram_pass
-            and abs(self.entanglement - 1.0) < CERT_ENTROPY_TOL
+    def checks(self) -> tuple[CertificateCheck, ...]:
+        """Gram off-diagonal, Gram diagonal, flatness residual and |E - 1|,
+        each with its value and tolerance, in that order."""
+        measured = (
+            ("gram_max_offdiag", self.gram.max_offdiag, ORTHO_TOL),
+            ("gram_max_diag_dev", self.gram.max_diag_dev, ORTHO_TOL),
+            ("residual", self.residual, CERT_RESIDUAL_TOL),
+            ("entanglement_deviation", abs(self.entanglement - 1.0), CERT_ENTROPY_TOL),
         )
+        return tuple(CertificateCheck(name, v, tol, v < tol) for name, v, tol in measured)
+
+    @property
+    def maximal(self) -> bool:
+        return all(check.passed for check in self.checks)
 
 
 def flatness_residual(theta: PhaseVector) -> float:
@@ -118,12 +140,15 @@ def flatness_residual(theta: PhaseVector) -> float:
 def _project_unimodular(
     z: np.ndarray, radius: float, mod: np.ndarray, lo: float | None = None
 ) -> np.ndarray:
-    """Nearest vector with all moduli equal to radius; phase 0 on ties.
+    """Nearest vector with all moduli equal to radius.
 
-    ``mod`` is ``np.abs(z)`` and ``lo`` its minimum (taken here if not
-    given), which the caller may already hold.  When no modulus is below
-    ``ZERO_MODULUS`` (the usual case) the tie-break is skipped; the result
-    has the same bits either way.
+    A modulus below ``ZERO_MODULUS`` has no usable phase for the division
+    z / |z|, so that entry becomes radius + 0j; every other entry keeps its
+    own phase, rounding noise included.  ``mod`` is ``np.abs(z)`` and
+    ``lo`` its minimum (taken here if not given), which the caller may
+    already hold.  When no modulus is below ``ZERO_MODULUS`` (the usual
+    case) the tie-break is skipped; the result has the same bits either
+    way.
     """
     if (mod.min() if lo is None else lo) >= ZERO_MODULUS:
         return radius * z / mod
@@ -161,6 +186,8 @@ def iterate_projections(
         b = _project_unimodular(a, target, mod, lo)
         c = (inverse @ b) / math.sqrt(d)
         th = np.arctan2(c.imag, c.real)  # what np.angle(c) computes, minus its wrapper
+        # Phase 0 only where the modulus is below ZERO_MODULUS (the same guard
+        # as the projection); a larger noise-level modulus keeps its phase.
         c_mod = np.abs(c)
         if not c_mod.min() >= ZERO_MODULUS:  # also NaN
             th = np.where(c_mod < ZERO_MODULUS, 0.0, th)

@@ -5,7 +5,8 @@ fresh temporary directory.  One line ``sha256  name`` is printed per data
 file and per captured stdout and stderr, and one line ``exit N  name`` per
 run.  Manifests are skipped: they carry a timestamp.  The runs cover curves
 of all four families, every preset and ``--theta0`` at d = 64 and 256,
-``construct`` in JSON and CSV to a file and to stdout, ``verify`` and
+``construct`` in JSON and CSV to a file and to stdout, ``verify`` (up to
+d = 128, where the Gram oracle skips the most repeated blocks) and
 ``search``, the exit-2 error paths of bad sources, curve settings and search
 settings, and ``--help`` of the program and of each subcommand (at a fixed
 ``COLUMNS``).
@@ -42,6 +43,13 @@ def phases(d: int, kind: str) -> str:
     else:
         values = [(0.731 * a * a + 1.9 * a) % (2.0 * math.pi) for a in range(d)]
     return ",".join(repr(v) for v in values)
+
+
+def coefficients(d: int) -> str:
+    """A fixed scrambled --coeffs list of d entries, not orthogonal under shifts."""
+    pairs = [((0.37 * k * k) % 1.3 - 0.6, (0.91 * k + 0.2) % 1.1 - 0.5)
+             for k in range(d)]
+    return ";".join(f"{re!r},{im!r}" for re, im in pairs)
 
 
 def grid(start: str, stop: str, step: str) -> list[str]:
@@ -89,6 +97,11 @@ def runs() -> list[tuple[str, list[str]]]:
         ("verify-theta-20-scrambled", ["verify", "--theta", phases(20, "scrambled")]),
         ("verify-family-d3-complex", ["verify", "--family", "d3-complex", "--param-deg", "60"]),
         ("verify-coeffs", ["verify", "--coeffs=0.6,0;0,0.8;0,0"]),
+        ("verify-theta-64", ["verify", "--theta", phases(64, "quadratic")]),
+        ("verify-theta-64-scrambled", ["verify", "--theta", phases(64, "scrambled")]),
+        ("verify-theta-128", ["verify", "--theta", phases(128, "quadratic")]),
+        ("verify-theta-128-scrambled", ["verify", "--theta", phases(128, "scrambled")]),
+        ("verify-coeffs-16", ["verify", f"--coeffs={coefficients(16)}"]),
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
         ("search-d12-capped", ["search", "--d", "12", "--restarts", "1", "--max-iters", "200"]),
