@@ -52,42 +52,43 @@ class GramReport:
         return self.max_offdiag < ORTHO_TOL and self.max_diag_dev < ORTHO_TOL
 
 
+# One read-only rotation table per d, at most 32 of them, least recently
+# used dropped first, as for ``core._phase_matrix``.  It is a window view of
+# 2d integers, so no d x d array is stored.
+@lru_cache(maxsize=32)
+def _rotation(d: int) -> np.ndarray:
+    """The d x d table R[s, t] = (s + t) mod d: row s is w[s:s+d] of w[t] = t mod d."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * d) % d, d)[:d]
+
+
 def _support(d: int, m, n, i):
     """Cell (j, k) = ((i+m) mod d, (i+m+n) mod d) that carries a_i in state (m, n).
 
-    The definition of the state layout that :func:`gram_check` lays out and
-    checks; it broadcasts over integer arrays.  :func:`build_state` reads
-    the same cells off a wrap table, and a test pins the two to each other.
+    The one definition of the state layout, read off the rotation table as
+    (R[m, i], R[(m+n) mod d, i]) for labels and indices in [0, d).  It
+    broadcasts over integer arrays: :func:`gram_check` lays out and checks
+    every state this way, and the ``construct`` writer takes its j and k
+    columns from it.  With ``i = slice(None)`` and integer labels it
+    returns two views of table rows, which :func:`build_state` reads.
     """
-    return (i + m) % d, (i + m + n) % d
-
-
-# One read-only table of 2d integers per d, at most 32 of them, least
-# recently used dropped first, as for ``core._phase_matrix``.
-@lru_cache(maxsize=32)
-def _wrap(d: int) -> np.ndarray:
-    """The index table w[t] = t mod d for t in [0, 2d)."""
-    w = np.arange(2 * d) % d
-    w.flags.writeable = False
-    return w
+    table = _rotation(d)
+    return table[m, i], table[(m + n) % d, i]
 
 
 def build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """Amplitude matrix of the (m, n) basis state.
 
     amp[(i+m) mod d, (i+m+n) mod d] = a_i; all other entries zero.  The
-    cells are the layout of :func:`_support`, read as two slices
-    w[m:m+d] and w[(m+n) mod d:...] of a cached wrap table w[t] = t mod d,
-    so a state costs one allocation and one fancy assignment.
+    cells are the two rows of the rotation table that :func:`_support`
+    returns for ``i = slice(None)``, so a state costs two basic indexes,
+    one allocation and one fancy assignment.
     """
     a = np.asarray(a, dtype=complex)
     d = a.size
     if not (0 <= m <= d - 1 and 0 <= n <= d - 1):
         raise ValueError(f"labels must be in [0, {d - 1}], got ({m}, {n})")
-    w = _wrap(d)
-    r = (m + n) % d
     amp = np.zeros((d, d), dtype=complex)
-    amp[w[m : m + d], w[r : r + d]] = a
+    amp[_support(d, m, n, slice(None))] = a
     return amp
 
 

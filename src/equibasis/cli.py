@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import gram_check
+from .basis import _support, gram_check
 from .core import PhaseVector, entanglement, flatness, synthesize_coefficients
 from .families import Family, interpolate, preset_phases
 from .search import SearchConfig, SolutionCertificate, alternating_projection_search
@@ -61,6 +61,13 @@ MAX_CURVE_POINTS = 10**6
 # largest accepted (16.8 M rows, about 1.8 GB of JSON).  A larger --theta is
 # refused (exit 2) before any synthesis.
 MAX_CONSTRUCT_ROWS = 256**3
+
+# Largest dimension d any subcommand accepts.  A --theta, --theta0 or
+# --coeffs list longer than this, or a larger `search --d`, is refused
+# (exit 2) before anything of size d^2 is allocated: the d x d phase matrix
+# alone takes 16 d^2 bytes.  `verify` takes about 39 s and 135 MB at
+# d = 1024, in process.
+MAX_DIMENSION = 1024
 
 # Numeric flags that must be finite, by argparse destination.
 FINITE_FLAGS = {
@@ -130,6 +137,12 @@ def check_finite_flags(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
+
+
+def check_dimension(d: int, flag: str) -> None:
+    """Refuse a dimension d above ``MAX_DIMENSION``, naming the flag that gave it."""
+    if d > MAX_DIMENSION:
+        raise ArgumentProblem(f"{flag}: dimension {d} is above the largest supported, {MAX_DIMENSION}")
 
 
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -240,9 +253,11 @@ def read_source(
     if kind == "preset":
         d, variant = parse_preset_key(text)
         return preset_phases(d, variant).theta0, {"preset": {"d": d, "variant": variant}}
+    values = parse_coefficients(text) if kind == "coeffs" else parse_angle_list(text)
+    check_dimension(values.size, "--" + kind)
     if kind == "coeffs":
-        return parse_coefficients(text), {"coeffs": text}
-    theta = PhaseVector(parse_angle_list(text))
+        return values, {"coeffs": text}
+    theta = PhaseVector(values)
     return theta, {kind + "_rad": [float(t) for t in theta.theta]}
 
 
@@ -310,18 +325,21 @@ def cmd_construct(args, argv: list[str]) -> int:
 def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Iterator[str]:
     """The `construct` data file as text chunks: header, one chunk per state, tail.
 
-    State (m, n) has the d rows (m, n, (i+m) mod d, (i+m+n) mod d, re a_i,
-    im a_i).  Only d distinct amplitude pairs occur, so each is formatted
-    once.  A row ends in k = (i+r) mod d and cell i, where r = (m+n) mod d,
-    so the d^2 tails ``tails[r][i]`` are joined once per call (7 MB of CSV
-    or 8 MB of JSON tails at d = 256, against 0.9 or 1.8 GB of output).
-    Each state is then one ``"".join`` over a reused list of 3d slots: the
-    row separator and (m, n) lead, the j = (i+m) mod d column of this m,
-    and the tails of this r.  No per-row string is built, and the d^3 rows
-    and the whole text are never held at once.  The JSON chunks splice the rows into
-    ``json.dumps(indent=2)`` of the header payload with an empty
-    ``states`` list, and give the bytes that dumping the full payload
-    would give; the CSV rows use ``repr`` of each float.
+    State (m, n) has the d rows (m, n, j, k, re a_i, im a_i), where (j, k)
+    is the cell that :func:`basis._support` gives a_i.  In that layout j
+    depends on the label only through m, and k only through
+    r = (m+n) mod d, so one ``_support`` call over the d labels (s, 0)
+    gives every j column (row m) and every k column (row r).  Only d
+    distinct amplitude pairs occur, so each is formatted once.  A row ends
+    in k and cell i, so the d^2 tails ``tails[r][i]`` are joined once per
+    call (7 MB of CSV or 8 MB of JSON tails at d = 256, against 0.9 or
+    1.8 GB of output).  Each state is then one ``"".join`` over a reused
+    list of 3d slots: the row separator and (m, n) lead, the j column of
+    this m, and the tails of this r.  No per-row string is built, and the
+    d^3 rows and the whole text are never held at once.  The JSON chunks
+    splice the rows into ``json.dumps(indent=2)`` of the header payload
+    with an empty ``states`` list, and give the bytes that dumping the full
+    payload would give; the CSV rows use ``repr`` of each float.
     """
     d = a.size
     pairs = [(float(z.real), float(z.imag)) for z in a]
@@ -340,15 +358,18 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
         head = f"# d={d}\n# entanglement={e_value!r}\n# coefficients={coeff_text}\nm,n,j,k,re,im\n"
         tail = "\n"
     opening, sep, closing, row_sep = _ROW_LAYOUT[fmt]
-    cells = [f"{sep}{re!r}{sep}{im!r}{closing}" for re, im in pairs]
-    labels = [str(x) for x in range(d)]
-    tails = [[k + c for k, c in zip(labels[r:] + labels[:r], cells)] for r in range(d)]
+    cells = np.array([f"{sep}{re!r}{sep}{im!r}{closing}" for re, im in pairs], dtype=object)
+    labels = np.array([str(x) for x in range(d)], dtype=object)
+    # State (m, n) puts a_i on (rows[m, i], cols[(m + n) % d, i]).
+    rows, cols = _support(d, np.arange(d)[:, None], 0, np.arange(d))
+    columns = (labels + sep)[rows].tolist()
+    tails = (labels[cols] + cells).tolist()
 
     yield head
     pieces = [""] * (3 * d)
     before = ""
     for m in range(d):
-        pieces[1::3] = [j + sep for j in labels[m:] + labels[:m]]  # j = (i + m) mod d
+        pieces[1::3] = columns[m]
         for n in range(d):
             lead = f"{opening}{m}{sep}{n}{sep}"
             pieces[0::3] = [row_sep + lead] * d
@@ -448,6 +469,7 @@ def cmd_verify(args, argv: list[str]) -> int:
 
 
 def cmd_search(args, argv: list[str]) -> int:
+    check_dimension(args.d, "--d")
     cfg = SearchConfig(
         d=args.d,
         max_iters=args.max_iters,

@@ -1,14 +1,15 @@
 """Per-call fast paths against the code they replaced.
 
-``build_state`` reads its cells off a cached wrap table, and
-``state_entanglement`` takes the row sums of |s|^2 and the norm from one
-``einsum``.  The references below are the previous bodies: the state laid
-out through ``basis._support`` on fresh index arrays, and the entropy from
-``np.abs(s) ** 2`` with a separate norm sum.  The projection step of the
-search skips its zero-modulus tie-break when no modulus is small; the
-reference always applies it.  A search sweep takes its residual from the
-extremes of the moduli and its phases from ``arctan2``; the reference sweep
-takes ``max |mod - target|`` and ``np.angle``.
+``build_state`` reads its cells off two rows of a cached rotation table,
+and ``state_entanglement`` takes the row sums of |s|^2 from ``np.vecdot``
+and the norm from ``np.add.reduce``.  The references below are the
+previous bodies: the state laid out through ``basis._support`` on fresh
+index arrays, and the entropy from ``np.abs(s) ** 2`` with a separate norm
+sum.  The projection step of the search skips its zero-modulus tie-break
+when no modulus is small; the reference always applies it.  A search
+sweep takes its residual from the extremes of the moduli and its phases
+from ``arctan2``; the reference sweep takes ``max |mod - target|`` and
+``np.angle``.
 """
 
 import math

@@ -123,6 +123,11 @@ def runs() -> list[tuple[str, list[str]]]:
          ["curve", "--interpolate", "--theta0", "0,pi/0", *grid("0", "1", "0.5")]),
         ("error-curve-range-above-1",
          ["curve", "--interpolate", "--preset", "d=3", *grid("0", "1.5", "0.5")]),
+        ("error-verify-unparsable-coeffs", ["verify", "--coeffs=a,0;1,0"]),
+        ("error-verify-one-coeff", ["verify", "--coeffs=1,0"]),
+        ("error-verify-zero-coeffs", ["verify", "--coeffs=0,0;0,0"]),
+        ("error-verify-family-without-param", ["verify", "--family", "d3-real"]),
+        ("error-curve-reversed-range", ["curve", "--family", "d3-real", *grid("10", "5", "1")]),
         ("help-top", ["--help"]),
     ]
     out += [(f"help-{cmd}", [cmd, "--help"]) for cmd in ("construct", "curve", "verify", "search")]
