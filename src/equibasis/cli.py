@@ -69,6 +69,13 @@ MAX_CONSTRUCT_ROWS = 256**3
 # d = 1024, in process.
 MAX_DIMENSION = 1024
 
+# Output formats each subcommand writes.  Every subcommand takes --format
+# from the shared parent parser, so its --help text is the same everywhere;
+# a format the subcommand does not write is refused (exit 2) before any work.
+OUTPUT_FORMATS = {
+    "construct": ("json", "csv"), "curve": ("csv",), "verify": ("json",), "search": ("json",)
+}
+
 # Numeric flags that must be finite, by argparse destination.
 FINITE_FLAGS = {
     "param_deg": "--param-deg", "start": "--from", "stop": "--to", "step": "--step", "tol": "--tol"
@@ -137,6 +144,13 @@ def check_finite_flags(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
+
+
+def check_format(args) -> None:
+    """Refuse a --format the subcommand does not write (``OUTPUT_FORMATS``)."""
+    formats = OUTPUT_FORMATS[args.command]
+    if args.format not in (None, *formats):
+        raise ArgumentProblem(f"{args.command} output is {' or '.join(formats).upper()} only")
 
 
 def check_dimension(d: int, flag: str) -> None:
@@ -404,9 +418,6 @@ def cmd_curve(args, argv: list[str]) -> int:
     is kept as the chunks go by.  An internal error raised mid-grid leaves
     the rows written so far in the file.
     """
-    if args.format not in (None, "csv"):
-        raise ArgumentProblem("curve output is CSV only")
-
     if args.interpolate:
         misuse = "--interpolate works with --preset or --theta0, not --family"
         seed, desc = read_source(args, ("theta0", "preset"), misuse)
@@ -590,6 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         check_finite_flags(args)
+        check_format(args)
         return args.func(args, argv)
     except ValueError as exc:  # ArgumentProblem and the library's own rejections
         print(f"error: {exc}", file=sys.stderr)

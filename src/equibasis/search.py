@@ -196,15 +196,35 @@ def iterate_projections(
     return PhaseVector(th).canonical(), residual, iterations
 
 
+_MASK64 = 2**64 - 1
+
+
 def _restart_phases(d: int, rng_seed: int, restart_index: int) -> PhaseVector:
     """Uniform draw from [0, 2*pi)^d with theta[0] = 0.
 
-    Philox is counter-based and platform-independent, so a (seed, restart)
-    key reproduces the same start everywhere.
+    The draw is Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11), a counter-based generator, so a (seed,
+    restart) key reproduces the same start everywhere.  The 128-bit key is
+    the two 64-bit words (seed, restart); the 256-bit counter starts at 0
+    and is incremented before each block of four 64-bit words, so the first
+    block uses counter 1 (d <= 2**66 never carries out of its low word).
+    Each word x, in block order, becomes the 53-bit double
+    (x >> 11) * 2**-53 in [0, 1), scaled by 2*pi.  These are the bits
+    numpy's ``Generator(Philox(key=[seed, restart])).random(d)`` draws,
+    which ``tests/test_restart_stream.py`` keeps as the reference, and
+    Python integers compute them without importing numpy's random module.
     """
-    key = np.array([rng_seed, restart_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    th = TWO_PI * rng.random(d)
+    k0, k1 = int(rng_seed), int(restart_index)  # numpy integers would overflow
+    words: list[int] = []
+    for block in range(1, (d + 3) // 4 + 1):
+        c0, c1, c2, c3 = block, 0, 0, 0
+        r0, r1 = k0, k1
+        for _ in range(10):  # the key bump after the last round is unused
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ r0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ r1, p0 & _MASK64
+            r0, r1 = (r0 + 0x9E3779B97F4A7C15) & _MASK64, (r1 + 0xBB67AE8584CAA73B) & _MASK64
+        words += (c0, c1, c2, c3)
+    th = TWO_PI * np.array([(x >> 11) * 2.0**-53 for x in words[:d]])
     th[0] = 0.0
     return PhaseVector(th)
 

@@ -7,7 +7,8 @@ run.  Manifests are skipped: they carry a timestamp.  The runs cover curves
 of all four families, every preset and ``--theta0`` at d = 64 and 256,
 ``construct`` in JSON and CSV to a file and to stdout, ``verify`` (up to
 d = 128, where the Gram oracle skips the most repeated blocks) and
-``search``, the exit-2 error paths of bad sources, curve settings and search
+``search`` (the largest seed, at an odd d, and d = 1024 pin the restart
+stream), the exit-2 error paths of bad sources, curve settings and search
 settings, and ``--help`` of the program and of each subcommand (at a fixed
 ``COLUMNS``).
 
@@ -105,6 +106,10 @@ def runs() -> list[tuple[str, list[str]]]:
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
         ("search-d12-capped", ["search", "--d", "12", "--restarts", "1", "--max-iters", "200"]),
+        # The restart stream: the largest Philox key at an odd d, and 256 blocks.
+        ("search-d33-largest-seed", ["search", "--d", "33", "--seed", str(2**64 - 1),
+                                     "--restarts", "2", "--max-iters", "40"]),
+        ("search-d1024-one-sweep", ["search", "--d", "1024", "--restarts", "1", "--max-iters", "1"]),
         ("error-verify-unknown-preset", ["verify", "--preset", "d=7"]),
         ("error-curve-unknown-preset",
          ["curve", "--interpolate", "--preset", "d=7", *grid("0", "1", "0.5")]),
