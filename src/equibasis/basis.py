@@ -26,11 +26,12 @@ from .core import NORM_TOL, ORTHO_TOL, _weights_entropy
 
 # Reduced-state eigenvalues may round slightly below zero; anything more
 # negative than this is rejected as non-physical.  eigvalsh of the unit-trace
-# rho_A errs by about d * eps * |rho_A| <= 5.7e-14 at d = 256.  A basis
+# rho_A errs by about d * eps * |rho_A| <= 2.3e-13 at d = 1024.  A basis
 # state's rho_A is exactly diagonal and never reaches eigvalsh; measured on
-# that route at d = 64/128/256: quadratic-phase states mixed by the DFT on
-# the second system deviate from 1/d by at most 6.6e-16/7.8e-16/7.6e-16, and
-# random rank-1 states have worst eigenvalues -3.8e-16/-7.2e-16/-8.0e-16.
+# that route at d = 64/128/256/512/1024: quadratic-phase states mixed by the
+# DFT on the second system deviate from 1/d by at most
+# 6.6e-16/7.8e-16/7.5e-16/7.4e-16/9.2e-16, and random rank-1 states have
+# worst eigenvalues -3.1e-16/-5.7e-16/-5.1e-16/-1.2e-15/-1.8e-15.
 EIGENVALUE_FLOOR = -1e-12
 
 
@@ -52,10 +53,10 @@ class GramReport:
         return self.max_offdiag < ORTHO_TOL and self.max_diag_dev < ORTHO_TOL
 
 
-# One read-only rotation table per d, at most 32 of them, least recently
-# used dropped first, as for ``core._phase_matrix``.  It is a window view of
-# 2d integers, so no d x d array is stored.
-@lru_cache(maxsize=32)
+# The read-only rotation table of the last d asked for, one at a time, for the
+# same reason as ``core._phase_matrix``: every operation works at one d.  It
+# is a window view of 2d integers, so no d x d array is stored.
+@lru_cache(maxsize=1)
 def _rotation(d: int) -> np.ndarray:
     """The d x d table R[s, t] = (s + t) mod d: row s is w[s:s+d] of w[t] = t mod d."""
     return np.lib.stride_tricks.sliding_window_view(np.arange(2 * d) % d, d)[:d]

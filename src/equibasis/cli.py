@@ -65,8 +65,9 @@ MAX_CONSTRUCT_ROWS = 256**3
 # Largest dimension d any subcommand accepts.  A --theta, --theta0 or
 # --coeffs list longer than this, or a larger `search --d`, is refused
 # (exit 2) before anything of size d^2 is allocated: the d x d phase matrix
-# alone takes 16 d^2 bytes.  `verify` takes about 39 s and 135 MB at
-# d = 1024, in process.
+# alone takes 16 d^2 bytes, 16 MB at d = 1024, and a process caches only the
+# matrix of its last d (``core._phase_matrix``).  `verify` takes about 39 s
+# and 135 MB at d = 1024, in process.
 MAX_DIMENSION = 1024
 
 # Output formats each subcommand writes.  Every subcommand takes --format

@@ -14,8 +14,9 @@ is exactly the orthonormality condition for the shifted basis states.
 
 All functions here are pure and operate on plain numpy arrays (complex128)
 or on :class:`PhaseVector`.  The synthesis is a dense O(d^2) matrix-vector
-product per vector; dimensions up to d = 256 are exercised, and the
-tolerances below are argued at that size.
+product per vector; dimensions up to d = 1024 (``cli.MAX_DIMENSION``) are
+accepted, and the tolerances below are argued at that size, where
+d * eps = 2.3e-13 (eps = 2.2e-16).
 
 The synthesis and the entropy also take a stack of vectors, shape (..., d),
 and work along the last axis: :class:`PhaseVector` may hold such a stack,
@@ -37,26 +38,29 @@ TWO_PI = 2.0 * math.pi
 
 # Orthonormality working tolerance.  The Gram oracle forms each entry
 # <psi|psi'> as a length-d sum of products of unit-norm coefficients, so its
-# rounding error is at most about d * eps = 5.7e-14 at d = 256 (eps = 2.2e-16),
-# well below 1e-12.  Worst measured |G - I| entry for quadratic phases:
-# 2.7e-15 at d = 64, 3.3e-15 at d = 128, 7.4e-15 at d = 256.
+# rounding error is at most about d * eps = 2.3e-13 at d = 1024 (eps =
+# 2.2e-16), below 1e-12.  Worst measured |G - I| entry for quadratic phases:
+# 2.7e-15 / 3.3e-15 / 7.4e-15 / 8.1e-15 / 1.2e-14 at d = 64 / 128 / 256 /
+# 512 / 1024 (the d = 1024 check takes about 17 s).
 ORTHO_TOL = 1e-12
 
 # Largest norm deviation accepted by the entropy routines.  A norm summed
-# from n squared moduli errs by at most about n * eps: 5.7e-14 for the d
-# coefficients at d = 256 and 1.5e-11 for the d^2 cells of a general state,
-# both far inside 1e-9.  Measured worst |norm - 1| over all d^2 basis states
-# of quadratic phases, summed from the row sums of |s|^2 as
-# :func:`equibasis.basis.state_entanglement` does: 4.4e-16 at d = 64,
-# 6.7e-16 at d = 128, 3.6e-15 at d = 256.
+# from n squared moduli errs by at most about n * eps: 2.3e-13 for the d
+# coefficients at d = 1024 and 2.3e-10 for the d^2 cells of a general state,
+# both inside 1e-9.  Measured worst |norm - 1| of quadratic-phase basis
+# states, summed from the row sums of |s|^2 as
+# :func:`equibasis.basis.state_entanglement` does: over all d^2 states,
+# 4.4e-16 / 6.7e-16 / 3.6e-15 at d = 64 / 128 / 256; over the d states of
+# label n = 0, 3.1e-15 / 4.9e-15 at d = 512 / 1024, and 4.9e-15 over 200
+# random states at d = 1024.
 NORM_TOL = 1e-9
 
 # Largest flatness residual (see :func:`flatness`) of a flat-modulus vector:
 # the preset check and the certificate both read it.  Each coefficient is a
 # sum of d unit-modulus terms scaled by 1/d, so its modulus errs by at most
-# about d * eps = 5.7e-14 at d = 256, and the residual of an exact endpoint
+# about d * eps = 2.3e-13 at d = 1024, and the residual of an exact endpoint
 # stays far below 1e-9 (measured for quadratic phases: 2.3e-15 / 4.1e-15 /
-# 5.6e-15 at d = 64 / 128 / 256).
+# 5.6e-15 / 7.7e-15 / 1.4e-14 at d = 64 / 128 / 256 / 512 / 1024).
 FLATNESS_TOL = 1e-9
 
 
@@ -113,12 +117,13 @@ def root_of_unity(d: int, p: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-# At most 32 matrices of 16*d^2 bytes are cached, least recently used
-# dropped first: 32 MB if every one is d = 256, 512 MB at d = 1024.  That
-# holds every d of a process that mixes curves (d = 2..5, 64..256),
-# constructs (d = 8..32) and searches (even d = 6..32), 21 values, or that
-# verifies over d = 8..48 (16 values).
-@lru_cache(maxsize=32)
+# One matrix is cached: that of the last d asked for, 16*d^2 bytes, so at
+# most 16 MB at d = 1024 (``cli.MAX_DIMENSION``).  Every command and library
+# operation works at one d (a curve's chunks, a search's sweeps, a construct,
+# a verify), so the matrix stays cached for the whole operation and a change
+# of d rebuilds it, releasing the old one.  A rebuild costs 0.11 / 0.55 /
+# 2.4 / 55 ms at d = 64 / 128 / 256 / 1024 and gives the same bits.
+@lru_cache(maxsize=1)
 def _phase_matrix(d: int) -> np.ndarray:
     """The d x d matrix E[j, alpha] = xi^(j*alpha), xi = exp(2*pi*i/d)."""
     j = np.arange(d)

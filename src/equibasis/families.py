@@ -195,7 +195,8 @@ def quadratic_phases(d: int) -> PhaseVector:
     d: the Frank-Zadoff-Chu sequence, whose transform has constant modulus
     for every d (D. C. Chu, IEEE Trans. Inf. Theory 18, 1972), so the
     synthesized coefficients are flat.  The measured worst flatness
-    residual over d = 2..256 is 1.2e-14.
+    residual over d = 2..1024 (``cli.MAX_DIMENSION``) is 2.4e-14, at
+    d = 956.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")

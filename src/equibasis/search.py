@@ -26,12 +26,13 @@ from .core import FLATNESS_TOL, ORTHO_TOL, entanglement, flatness, synthesize_co
 # Moduli below this are projected with tie-break phase 0.  The tie-break
 # guards the division z / |z| of a sweep against a modulus with no usable
 # phase (0 / 0 is NaN), not against rounding: near a flat endpoint every
-# modulus is about 1/sqrt(d) >= 0.0625 for d <= 256 (measured minima for
-# quadratic phases 0.125 / 0.088 / 0.0625 at d = 64 / 128 / 256, on both
-# sides of the transform).  A coefficient that vanishes in exact arithmetic
-# comes out as the rounding noise of its d-term sum, which exceeds 1e-15 from
-# about d = 12 on (zero phases: 2.5e-15 / 4.5e-15 / 1.1e-14 at d = 64 / 128 /
-# 256); such an entry keeps the phase of its noise, which is deterministic.
+# modulus is about 1/sqrt(d) >= 0.031 for d <= 1024 (measured minima for
+# quadratic phases 0.125 / 0.088 / 0.0625 / 0.044 / 0.031 at d = 64 / 128 /
+# 256 / 512 / 1024, on both sides of the transform).  A coefficient that
+# vanishes in exact arithmetic comes out as the rounding noise of its d-term
+# sum, which exceeds 1e-15 from about d = 12 on (zero phases: 2.5e-15 /
+# 4.5e-15 / 1.1e-14 / 2.6e-14 / 4.1e-14 at d = 64 / 128 / 256 / 512 / 1024);
+# such an entry keeps the phase of its noise, which is deterministic.
 # So the tie-break is not "phase 0 for every vanishing coefficient": zero
 # phases at d = 8 put all 7 off-peak moduli below 1e-15, at d = 64 16 of the
 # 63 lie above it.  Moving the threshold would change search bits, the
@@ -41,9 +42,9 @@ ZERO_MODULUS = 1e-15
 # Certificate thresholds for a maximally entangled basis.  The residual bound
 # is the flatness bound of :mod:`equibasis.core` (argued there).  The entropy
 # of a flat vector departs from 1 only to second order in the modulus
-# deviations, plus the rounding of a d-term sum (about d * eps = 5.7e-14 at
-# d = 256); measured |E - 1| for quadratic phases: 0 / 0 / 1.1e-16 at
-# d = 64 / 128 / 256.
+# deviations, plus the rounding of a d-term sum (about d * eps = 2.3e-13 at
+# d = 1024); measured |E - 1| for quadratic phases: 0 / 0 / 1.1e-16 / 0 / 0
+# at d = 64 / 128 / 256 / 512 / 1024.
 CERT_RESIDUAL_TOL = FLATNESS_TOL
 CERT_ENTROPY_TOL = 1e-9
 
