@@ -170,6 +170,9 @@ def iterate_projections(
     """
     d = theta.d
     target = 1.0 / math.sqrt(d)
+    # A copy, 16*d^2 bytes for the whole run: applying the conjugate to the
+    # vector instead, conj(E @ conj(b)), changes the sweep's bits at every
+    # d >= 4, since the BLAS kernel then sums the product in another order.
     inverse = _phase_matrix(d).conj().T
     th = theta.theta.copy()
     iterations = 0

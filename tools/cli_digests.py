@@ -1,16 +1,19 @@
 """Print a SHA-256 digest of every output of a fixed list of CLI runs.
 
-Each run is an in-process call of ``equibasis.cli.main(argv)`` inside a
-fresh temporary directory.  One line ``sha256  name`` is printed per data
-file and per captured stdout and stderr, and one line ``exit N  name`` per
-run.  Manifests are skipped: they carry a timestamp.  The runs cover curves
-of all four families, every preset and ``--theta0`` at d = 64 and 256,
-``construct`` in JSON and CSV to a file and to stdout, ``verify`` (up to
-d = 128, where the Gram oracle skips the most repeated blocks) and
+Each run is an in-process call of ``equibasis.cli.main(argv)`` inside one
+temporary directory.  One line ``sha256  name`` is printed per data file,
+per manifest and per captured stdout and stderr, and one line
+``exit N  name`` per run.  A manifest is digested with the value of its
+``timestamp`` masked, the one field that changes between runs.  The runs
+cover curves of all four families, every preset and ``--theta0`` at d = 64
+and 256, ``construct`` in JSON and CSV to a file and to stdout, ``verify``
+(up to d = 128, where the Gram oracle skips the most repeated blocks) and
 ``search`` (the largest seed, at an odd d, and d = 1024 pin the restart
 stream), the exit-2 error paths of bad sources, curve settings and search
-settings, and ``--help`` of the program and of each subcommand (at a fixed
-``COLUMNS``).
+settings, ``--help`` of the program and of each subcommand (at a fixed
+``COLUMNS``), and runs that write a longer, then a shorter output and
+manifest to the same ``--output`` (``construct`` JSON and CSV, ``curve``),
+digested after each run.
 
 Run the same script against two source trees and compare the listings to
 check that a change keeps every CLI output byte for byte:
@@ -29,6 +32,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -61,7 +65,8 @@ def runs() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, in order.
 
     A run whose name ends in ``-stdout``, or starts with ``error-`` or
-    ``help-``, writes to stdout only; every other run also gets
+    ``help-``, writes to stdout only; a run whose argv has its own
+    ``--output`` writes there; every other run also gets
     ``--output NAME.json`` or ``NAME.csv``.
     """
     out = []
@@ -136,11 +141,28 @@ def runs() -> list[tuple[str, list[str]]]:
         ("help-top", ["--help"]),
     ]
     out += [(f"help-{cmd}", [cmd, "--help"]) for cmd in ("construct", "curve", "verify", "search")]
+    # A longer, then a shorter output and manifest to the same file.
+    for fmt in ("json", "csv"):
+        target = ["--format", fmt, "--output", f"overwrite-construct.{fmt}"]
+        out += [
+            (f"overwrite-construct-{fmt}-theta-16", ["construct", *sources["theta-16"], *target]),
+            (f"overwrite-construct-{fmt}-d3-real", ["construct", *sources["d3-real"], *target]),
+        ]
+    target = ["--output", "overwrite-curve.csv"]
+    out += [
+        ("overwrite-curve-long", ["curve", "--family", "d4-real", *grid("0", "360", "0.25"), *target]),
+        ("overwrite-curve-short", ["curve", "--family", "d4-real", *grid("0", "90", "1"), *target]),
+    ]
     return out
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def masked_manifest(path: Path) -> bytes:
+    """The manifest's bytes with its timestamp value blanked."""
+    return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', path.read_bytes())
 
 
 def main_digests() -> int:
@@ -152,7 +174,9 @@ def main_digests() -> int:
         try:
             for name, argv in runs():
                 data_file = None
-                if not (name.endswith("-stdout") or name.startswith(("error-", "help-"))):
+                if "--output" in argv:
+                    data_file = Path(argv[argv.index("--output") + 1])
+                elif not (name.endswith("-stdout") or name.startswith(("error-", "help-"))):
                     csv = argv[0] == "curve" or "csv" in argv
                     data_file = Path(name + (".csv" if csv else ".json"))
                     argv = argv + ["--output", str(data_file)]
@@ -164,6 +188,8 @@ def main_digests() -> int:
                 print(f"{digest(err.getvalue().encode('utf-8'))}  {name}.stderr")
                 if data_file is not None:
                     print(f"{digest(data_file.read_bytes())}  {data_file}")
+                    manifest = data_file.with_suffix(".manifest.json")
+                    print(f"{digest(masked_manifest(manifest))}  {manifest}")
         finally:
             os.chdir(home)
     return 0
