@@ -8,11 +8,17 @@ phase lists accept radians with a small `pi` syntax (``pi``, ``pi/2``,
 file gets a ``*.manifest.json`` sibling recording the command, config and
 versions (``verify``'s also names each certificate check with its value,
 tolerance and verdict).  Data files are byte-identical across repeated
-runs; only the manifest carries a timestamp.  An existing output or
-manifest is overwritten in place and then cut to its new length, not
-truncated first: on ext4, XFS and btrfs, closing a file that was truncated
-and rewritten starts its writeback at once.  A process killed before the
-cut can leave the older file's tail (see ``_overwrite``).
+runs; only the manifest carries a timestamp.  Every output file goes
+through ``save``, which writes the manifest first and the data after it,
+so the manifest beside a data file names the last run that wrote to it,
+also one that failed or was killed part way.  An output that exists and
+is not a regular file (a FIFO, /dev/null, /dev/stdout on a pipe or a
+terminal) gets no manifest.  An
+existing output or manifest is overwritten in place and then cut to its
+new length, not truncated first: on ext4, XFS and btrfs, closing a file
+that was truncated and rewritten starts its writeback at once.  A process
+killed before the cut leaves its own manifest and a data file that may
+hold its head over the older file's tail (see ``_overwrite``).
 
 Exit codes: 0 success, 1 failed verification or non-converged search,
 2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
@@ -219,6 +225,9 @@ def write_text(path: Path, chunks: Iterable[str]) -> None:
     An existing file is overwritten in place and cut to the written length
     (see :func:`_overwrite`).  A chunk that raises part way through leaves
     no stale tail of a longer old file; a killed process or a crash can.
+    The run's manifest is written before it (:func:`save`), so a data file
+    whose row count disagrees with its manifest's config is from a run that
+    did not finish.
     """
     _overwrite(path, chunks)
 
@@ -245,10 +254,12 @@ def _overwrite(path: Path, chunks: Iterable[str]) -> None:
     tail, or the whole old file if nothing was flushed yet; that may still
     parse, where ``O_TRUNC`` would have left a short or empty file.  A crash
     of the machine can also leave the new length over old bytes, as nothing
-    is flushed on close any more.  That is the price of the speed.  Only a
-    regular file is cut; a FIFO or a device such as /dev/null is written as
-    it is.  The path is written through (a symlink is followed, hard links
-    and the mode are kept), and nothing is renamed or synced.
+    is flushed on close any more.  That is the price of the speed.  The
+    manifest, written before the data (:func:`save`), describes the killed
+    run, so comparing the data's row count with its config shows the mix.
+    Only a regular file is cut; a FIFO or a device such as /dev/null is
+    written as it is.  The path is written through (a symlink is followed,
+    hard links and the mode are kept), and nothing is renamed or synced.
     """
     with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as fh:
         try:
@@ -260,17 +271,39 @@ def _overwrite(path: Path, chunks: Iterable[str]) -> None:
                 fh.truncate()
 
 
+def save(path: Path, argv: list[str], chunks: Iterable[str], config: dict,
+         checks: list[dict] | None = None) -> None:
+    """Write the manifest of output path (:func:`write_manifest`), then its
+    data (:func:`write_text`): the one write step of every subcommand.
+
+    The manifest goes first, so the one beside a data file always names the
+    last run that wrote to it, also a run that failed or was killed part
+    way.  An output that exists and is not a regular file (a FIFO, a
+    directory, /dev/null, /dev/stdout on a pipe or a terminal) gets no
+    manifest: its ``with_suffix`` sibling (/dev/stdout.manifest.json) is no
+    place for one, and a directory then fails in the data write (exit 3)
+    with no manifest left behind.  ``os.stat`` follows symlinks, so a link
+    to a regular file, and /dev/stdout redirected to one, count as regular.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True  # a new output is created as a regular file
+    if regular:
+        write_manifest(path, argv, config, checks)
+    write_text(path, chunks)
+
+
 def report(
     args, argv: list[str], payload: dict, config: dict, checks: list[dict] | None = None
 ) -> None:
-    """Print payload as indented JSON; with --output also write that text and
-    a newline to the file, with a manifest recording ``config`` (and
+    """Print payload as indented JSON; with --output also :func:`save` that
+    text and a newline, with a manifest recording ``config`` (and
     ``checks``, when given)."""
     text = json.dumps(payload, indent=2)
     print(text)
     if args.output is not None:
-        write_text(args.output, [text, "\n"])
-        write_manifest(args.output, argv, config, checks)
+        save(args.output, argv, [text, "\n"], config, checks)
 
 
 def say(args, message: str) -> None:
@@ -378,8 +411,7 @@ def cmd_construct(args, argv: list[str]) -> int:
     if args.output is None:
         sys.stdout.writelines(chunks)
     else:
-        write_text(args.output, chunks)
-        write_manifest(args.output, argv, {"source": desc, "d": a.size, "format": fmt})
+        save(args.output, argv, chunks, {"source": desc, "d": a.size, "format": fmt})
         say(args, f"wrote {args.output}")
     return 0
 
@@ -465,7 +497,8 @@ def cmd_curve(args, argv: list[str]) -> int:
     grid itself.  The grid maximum (first point of greatest entanglement)
     is kept as the chunks go by.  An internal error raised mid-grid leaves
     the rows written so far in the file, and no tail of an older one (a
-    killed process can leave one: see :func:`_overwrite`).
+    killed process can leave one: see :func:`_overwrite`), beside this
+    run's manifest.
     """
     if args.interpolate:
         misuse = "--interpolate works with --preset or --theta0, not --family"
@@ -501,9 +534,7 @@ def cmd_curve(args, argv: list[str]) -> int:
             yield curve_rows(points, values)
 
     output = args.output if args.output is not None else Path("curve.csv")
-    write_text(output, csv_chunks())
-    config = dict(desc, start=args.start, stop=args.stop, step=args.step)
-    write_manifest(output, argv, config)
+    save(output, argv, csv_chunks(), dict(desc, start=args.start, stop=args.stop, step=args.step))
 
     say(args, f"wrote {output}")
     say(args, f"grid maximum: entanglement={best_e:.15g} at param={best_p:.15g}")

@@ -12,8 +12,10 @@ and 256, ``construct`` in JSON and CSV to a file and to stdout, ``verify``
 stream), the exit-2 error paths of bad sources, curve settings and search
 settings, ``--help`` of the program and of each subcommand (at a fixed
 ``COLUMNS``), and runs that write a longer, then a shorter output and
-manifest to the same ``--output`` (``construct`` JSON and CSV, ``curve``),
-digested after each run.
+manifest to the same ``--output`` (``construct`` JSON and CSV, ``curve``,
+``verify`` and ``search``), digested after each run.  Last, one line
+``file  name`` is printed per file left in the directory, sorted, so a
+stray or a missing manifest changes the listing.
 
 Run the same script against two source trees and compare the listings to
 check that a change keeps every CLI output byte for byte:
@@ -153,6 +155,16 @@ def runs() -> list[tuple[str, list[str]]]:
         ("overwrite-curve-long", ["curve", "--family", "d4-real", *grid("0", "360", "0.25"), *target]),
         ("overwrite-curve-short", ["curve", "--family", "d4-real", *grid("0", "90", "1"), *target]),
     ]
+    target = ["--output", "overwrite-verify.json"]
+    out += [
+        ("overwrite-verify-preset-d3", ["verify", "--preset", "d=3,v=0", *target]),
+        ("overwrite-verify-coeffs", ["verify", "--coeffs=0.6,0;0,0.8;0,0", *target]),
+    ]
+    target = ["--output", "overwrite-search.json"]
+    out += [
+        ("overwrite-search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2", *target]),
+        ("overwrite-search-d4", ["search", "--d", "4", "--seed", "0", *target]),
+    ]
     return out
 
 
@@ -190,6 +202,8 @@ def main_digests() -> int:
                     print(f"{digest(data_file.read_bytes())}  {data_file}")
                     manifest = data_file.with_suffix(".manifest.json")
                     print(f"{digest(masked_manifest(manifest))}  {manifest}")
+            for name in sorted(os.listdir()):
+                print(f"file  {name}")
         finally:
             os.chdir(home)
     return 0
