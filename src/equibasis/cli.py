@@ -12,13 +12,14 @@ runs; only the manifest carries a timestamp.  Every output file goes
 through ``save``, which writes the manifest first and the data after it,
 so the manifest beside a data file names the last run that wrote to it,
 also one that failed or was killed part way.  An output that exists and
-is not a regular file (a FIFO, /dev/null, /dev/stdout on a pipe or a
-terminal) gets no manifest.  An
-existing output or manifest is overwritten in place and then cut to its
-new length, not truncated first: on ext4, XFS and btrfs, closing a file
-that was truncated and rewritten starts its writeback at once.  A process
-killed before the cut leaves its own manifest and a data file that may
-hold its head over the older file's tail (see ``_overwrite``).
+is not a regular file (a FIFO, a directory) gets no manifest, nor does any
+output under /dev or /proc (/dev/stdout redirected to a file gets its data
+and no manifest).  An existing output or manifest is overwritten in place
+and then cut to its new length, not truncated first: on ext4, XFS and
+btrfs, closing a file that was truncated and rewritten starts its
+writeback at once.  A process killed before the cut leaves its own
+manifest and a data file that may hold its head over the older file's
+tail (see ``_overwrite``).
 
 Exit codes: 0 success, 1 failed verification or non-converged search,
 2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .basis import _support, gram_check
-from .core import PhaseVector, entanglement, flatness, synthesize_coefficients
+from .core import PhaseVector, entanglement, synthesize_coefficients
 from .families import Family, interpolate, preset_phases
 from .search import SearchConfig, SolutionCertificate, alternating_projection_search
 
@@ -279,17 +280,20 @@ def save(path: Path, argv: list[str], chunks: Iterable[str], config: dict,
     The manifest goes first, so the one beside a data file always names the
     last run that wrote to it, also a run that failed or was killed part
     way.  An output that exists and is not a regular file (a FIFO, a
-    directory, /dev/null, /dev/stdout on a pipe or a terminal) gets no
-    manifest: its ``with_suffix`` sibling (/dev/stdout.manifest.json) is no
-    place for one, and a directory then fails in the data write (exit 3)
-    with no manifest left behind.  ``os.stat`` follows symlinks, so a link
-    to a regular file, and /dev/stdout redirected to one, count as regular.
+    directory) gets no manifest, and a directory then fails in the data
+    write (exit 3) with no manifest left behind.  Nor does any path under
+    /dev or /proc, whatever it is: a sibling there (/dev/stdout.manifest.json)
+    is no place for one.  ``os.stat`` follows /dev/stdout to whatever fd 1
+    is, so /dev/stdout redirected to a regular file gets its data and no
+    manifest by the path rule, not the type.  A symlink elsewhere that
+    points to a regular file counts as regular, and its manifest goes
+    beside the link.
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         regular = True  # a new output is created as a regular file
-    if regular:
+    if regular and not os.path.abspath(path).startswith(("/dev/", "/proc/")):
         write_manifest(path, argv, config, checks)
     write_text(path, chunks)
 
@@ -544,9 +548,7 @@ def cmd_curve(args, argv: list[str]) -> int:
 def cmd_verify(args, argv: list[str]) -> int:
     a, desc = resolve_source(args)
     # Gram first: a broken support map exits 4 before any entropy is computed.
-    cert = SolutionCertificate(
-        gram=gram_check(a), entanglement=entanglement(a), residual=flatness(a)
-    )
+    cert = SolutionCertificate.of(a, gram_check(a))
     payload = {
         "residual": cert.residual,
         "gram_max_offdiag": cert.gram.max_offdiag,

@@ -96,16 +96,20 @@ def family_d4_complex_entropy(theta: float) -> float:
 
 
 class Family(enum.Enum):
-    """The four closed-form one-parameter families."""
+    """The four closed-form one-parameter families: each member is its CLI
+    name, its dimension and its closed form."""
 
-    D3_REAL = "d3-real"
-    D3_COMPLEX = "d3-complex"
-    D4_REAL = "d4-real"
-    D4_COMPLEX = "d4-complex"
+    D3_REAL = "d3-real", 3, family_d3_real
+    D3_COMPLEX = "d3-complex", 3, family_d3_complex
+    D4_REAL = "d4-real", 4, family_d4_real
+    D4_COMPLEX = "d4-complex", 4, family_d4_complex
 
-    @property
-    def dimension(self) -> int:
-        return _FAMILY_TABLE[self][0]
+    def __new__(cls, value: str, dimension: int, closed_form) -> Family:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.dimension = dimension
+        member._closed_form = closed_form
+        return member
 
     def coefficients(self, param: float | np.ndarray) -> np.ndarray:
         """Coefficient vector of this family at parameter value (radians).
@@ -113,16 +117,7 @@ class Family(enum.Enum):
         An array of n parameters gives the (n, d) stack of vectors, each row
         bit for bit the vector of its parameter alone.
         """
-        return _FAMILY_TABLE[self][1](param)
-
-
-# (dimension, coefficient function) of each family member.
-_FAMILY_TABLE = {
-    Family.D3_REAL: (3, family_d3_real),
-    Family.D3_COMPLEX: (3, family_d3_complex),
-    Family.D4_REAL: (4, family_d4_real),
-    Family.D4_COMPLEX: (4, family_d4_complex),
-}
+        return self._closed_form(param)
 
 
 @dataclass(frozen=True)

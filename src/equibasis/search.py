@@ -100,13 +100,24 @@ class SolutionCertificate:
     """Bundled evidence for one coefficient vector: flatness residual,
     brute-force Gram report, and entanglement of the seed state.
 
-    ``checks`` is the one certificate rule and ``maximal`` its verdict,
-    read by :func:`verify_solution` and by the ``verify`` command.
+    :meth:`of` is the one assembly, ``checks`` the one certificate rule and
+    ``maximal`` its verdict, used by :func:`verify_solution` and by the
+    ``verify`` command.
     """
 
     residual: float
     gram: GramReport
     entanglement: float
+
+    @classmethod
+    def of(cls, a: np.ndarray, gram: GramReport) -> SolutionCertificate:
+        """The certificate of coefficients a, with a's Gram report.
+
+        The caller runs the Gram oracle, so that it can run it first: a
+        broken basis layout then fails (``RuntimeError``) before any entropy
+        is computed.
+        """
+        return cls(residual=flatness(a), gram=gram, entanglement=entanglement(a))
 
     @property
     def gram_pass(self) -> bool:
@@ -271,8 +282,4 @@ def verify_solution(theta: PhaseVector) -> SolutionCertificate:
     Gram check passes, and |E - 1| < ``CERT_ENTROPY_TOL``.
     """
     a = synthesize_coefficients(theta)
-    return SolutionCertificate(
-        residual=flatness(a),
-        gram=gram_check(a),
-        entanglement=entanglement(a),
-    )
+    return SolutionCertificate.of(a, gram_check(a))
