@@ -124,10 +124,12 @@ def gram_check(a: np.ndarray) -> GramReport:
     (m*d + n, m'*d + n').
 
     Failure of orthonormality is reported in the maxima, never raised.
-    Non-finite coefficients raise ValueError; a support map that breaks the
-    layout raises RuntimeError.
+    Coefficients that are not a nonempty 1-d vector, or not finite, raise
+    ValueError; a support map that breaks the layout raises RuntimeError.
     """
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"coefficients must be a nonempty 1-d vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficients must be finite")
     d = a.size
