@@ -16,6 +16,7 @@ from .basis import (
     state_entanglement,
 )
 from .core import (
+    FLATNESS_TOL,
     NORM_TOL,
     ORTHO_TOL,
     PhaseVector,
@@ -27,7 +28,6 @@ from .core import (
     synthesize_coefficients,
 )
 from .families import (
-    FLATNESS_TOL,
     Family,
     PresetEntry,
     available_presets,

@@ -4,22 +4,14 @@ verify certificates, and search for maximally entangled endpoints.
 Angles are accepted in degrees on the command line (matching the usual
 plots) and converted to radians exactly once at this boundary; explicit
 phase lists accept radians with a small `pi` syntax (``pi``, ``pi/2``,
-``2pi/3``).  Structured results are JSON, curves are CSV, and every output
+``2pi/3``).  Structured results are JSON, curves are CSV, and an output
 file gets a ``*.manifest.json`` sibling recording the command, config and
 versions (``verify``'s also names each certificate check with its value,
 tolerance and verdict).  Data files are byte-identical across repeated
-runs; only the manifest carries a timestamp.  Every output file goes
-through ``save``, which writes the manifest first and the data after it,
-so the manifest beside a data file names the last run that wrote to it,
-also one that failed or was killed part way.  An output that exists and
-is not a regular file (a FIFO, a directory) gets no manifest, nor does any
-output under /dev or /proc (/dev/stdout redirected to a file gets its data
-and no manifest).  An existing output or manifest is overwritten in place
-and then cut to its new length, not truncated first: on ext4, XFS and
-btrfs, closing a file that was truncated and rewritten starts its
-writeback at once.  A process killed before the cut leaves its own
-manifest and a data file that may hold its head over the older file's
-tail (see ``_overwrite``).
+runs; only the manifest carries a timestamp.  Every output goes through
+``save``, which says which outputs get a manifest and why it is written
+first; ``_overwrite`` says how an existing file is rewritten and what a
+killed run leaves.
 
 Exit codes: 0 success, 1 failed verification or non-converged search,
 2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
@@ -225,26 +217,18 @@ def write_manifest(
 def write_text(path: Path, chunks: Iterable[str]) -> None:
     """Write an iterable of string chunks, in order, to path as UTF-8.
 
-    An existing file is overwritten in place and cut to the written length
-    (see :func:`_overwrite`).  A chunk that raises part way through leaves
-    no stale tail of a longer old file; a killed process or a crash can.
-    The run's manifest is written before it (:func:`save`), so a data file
-    whose row count disagrees with its manifest's config is from a run that
-    did not finish.
+    The data half of :func:`save`, kept under its own name because
+    ``bench/run.py`` times it; :func:`_overwrite` owns the write's rules.
     """
     _overwrite(path, chunks)
-
-
-def _open_in_place(path: str, flags: int) -> int:
-    """The ``opener`` of :func:`_overwrite`: mode "w"'s flags, minus ``O_TRUNC``."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _overwrite(path: Path, chunks: Iterable[str]) -> None:
     """Write chunks to path as UTF-8 from offset 0, then cut the file there.
 
-    The file is opened without ``O_TRUNC``: ext4 (``auto_da_alloc``), XFS
-    and btrfs start writeback on the close of a file that was truncated and
+    Every data file and manifest is written here.  The file is opened by
+    ``os.open`` without ``O_TRUNC``: ext4 (``auto_da_alloc``), XFS and
+    btrfs start writeback on the close of a file that was truncated and
     rewritten.  On ext4 on a 2-vCPU Xeon VM a rewrite took 122 us truncated
     against 23 us in place for 600 bytes, and 4.2 against 0.8 ms for 3.4 MB.
     Only a rewrite gains: a write to a new path costs about 10 us more, on a
@@ -264,7 +248,8 @@ def _overwrite(path: Path, chunks: Iterable[str]) -> None:
     written as it is.  The path is written through (a symlink is followed,
     hard links and the mode are kept), and nothing is renamed or synced.
     """
-    with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
         try:
             fh.writelines(chunks)
         finally:
@@ -281,15 +266,15 @@ def save(path: Path, argv: list[str], chunks: Iterable[str], config: dict,
 
     The manifest goes first, so the one beside a data file always names the
     last run that wrote to it, also a run that failed or was killed part
-    way.  An output that exists and is not a regular file (a FIFO, a
-    directory) gets no manifest, and a directory then fails in the data
-    write (exit 3) with no manifest left behind.  Nor does any path under
-    /dev or /proc, whatever it is: a sibling there (/dev/stdout.manifest.json)
-    is no place for one.  ``os.stat`` follows /dev/stdout to whatever fd 1
-    is, so /dev/stdout redirected to a regular file gets its data and no
-    manifest by the path rule, not the type.  A symlink elsewhere that
-    points to a regular file counts as regular, and its manifest goes
-    beside the link.
+    way (what such a run leaves in the data: :func:`_overwrite`).  An
+    output that exists and is not a regular file (a FIFO, a directory) gets
+    no manifest, and a directory then fails in the data write (exit 3) with
+    no manifest left behind.  Nor does any path under /dev or /proc,
+    whatever it is: a sibling there (/dev/stdout.manifest.json) is no place
+    for one.  ``os.stat`` follows /dev/stdout to whatever fd 1 is, so
+    /dev/stdout redirected to a regular file gets its data and no manifest
+    by the path rule, not the type.  A symlink elsewhere that points to a
+    regular file counts as regular, and its manifest goes beside the link.
     """
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -398,7 +383,7 @@ def resolve_source(args, max_rows: float = math.inf) -> tuple[np.ndarray, dict]:
             norm = float(np.linalg.norm(a))
         a = a / norm  # escape hatch accepts hand-typed, roughly normalized input
 
-    if getattr(args, "d", None) is not None and args.d != a.size:
+    if args.d is not None and args.d != a.size:
         raise ArgumentProblem(f"--d {args.d} conflicts with source dimension {a.size}")
     return a, desc
 
@@ -502,9 +487,8 @@ def cmd_curve(args, argv: list[str]) -> int:
     chunk is evaluated, so memory does not grow with the grid beyond the
     grid itself.  The grid maximum (first point of greatest entanglement)
     is kept as the chunks go by.  An internal error raised mid-grid leaves
-    the rows written so far in the file, and no tail of an older one (a
-    killed process can leave one: see :func:`_overwrite`), beside this
-    run's manifest.
+    the rows written so far beside this run's manifest (see :func:`save`
+    and :func:`_overwrite`).
     """
     if args.interpolate:
         misuse = "--interpolate works with --preset or --theta0, not --family"

@@ -148,9 +148,11 @@ def available_presets() -> tuple[tuple[int, int], ...]:
 def preset_phases(d: int, variant: int = 0) -> PresetEntry:
     """Look up a cataloged flat-phase endpoint by dimension and variant.
 
-    The synthesized moduli are re-verified to be flat on every call; a
-    failure means the catalog itself is corrupt and raises ``RuntimeError``.
-    An unknown key raises ``ValueError``.
+    The synthesized moduli are re-verified to be flat on every call, by
+    the certificate's rule (pass only when the deviation is below
+    ``FLATNESS_TOL``, never on NaN); a failure means the catalog itself is
+    corrupt and raises ``RuntimeError``.  An unknown key raises
+    ``ValueError``.
     """
     key = (d, variant)
     if key not in _PRESET_ANGLES:
@@ -158,7 +160,9 @@ def preset_phases(d: int, variant: int = 0) -> PresetEntry:
             f"no preset for d={d}, variant={variant}; available: {available_presets()}"
         )
     theta0 = PhaseVector(np.array(_PRESET_ANGLES[key]))
-    _check_flat(theta0)
+    deviation = flatness(synthesize_coefficients(theta0))
+    if not deviation < FLATNESS_TOL:
+        raise RuntimeError(f"preset phases are not flat: deviation {deviation!r}")
     return PresetEntry(d=d, variant=variant, theta0=theta0)
 
 
@@ -191,7 +195,7 @@ def quadratic_phases(d: int) -> PhaseVector:
     for every d (D. C. Chu, IEEE Trans. Inf. Theory 18, 1972), so the
     synthesized coefficients are flat.  The measured worst flatness
     residual over d = 2..1024 (``cli.MAX_DIMENSION``) is 2.4e-14, at
-    d = 956.
+    d = 956.  theta_0 = 0, so the vector is already gauge-fixed.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -200,10 +204,4 @@ def quadratic_phases(d: int) -> PhaseVector:
         theta = math.pi * alpha**2 / d
     else:
         theta = math.pi * alpha * (alpha + 1.0) / d
-    return PhaseVector(theta).canonical()
-
-
-def _check_flat(theta0: PhaseVector) -> None:
-    deviation = flatness(synthesize_coefficients(theta0))
-    if deviation > FLATNESS_TOL:
-        raise RuntimeError(f"preset phases are not flat: deviation {deviation!r}")
+    return PhaseVector(theta)

@@ -13,8 +13,9 @@ count.  Each sweep that does not stop applies :func:`_ap_step`, which holds
 the whole alternating-projection update: both projections, the transform
 back, the ``ZERO_MODULUS`` tie-break and the gauge fix.
 
-Every claimed solution is re-verified through the brute-force oracles in
-:mod:`equibasis.basis`; see :func:`verify_solution`.
+A search returns a candidate, which it does not certify itself:
+:func:`verify_solution` (or ``equibasis verify --theta``) certifies it
+through the brute-force oracles in :mod:`equibasis.basis`.
 """
 
 from __future__ import annotations
@@ -263,9 +264,9 @@ def alternating_projection_search(cfg: SearchConfig) -> SearchResult:
     """Best flat-phase candidate over deterministic random restarts.
 
     Restarts run in index order and stop early once one converges: a
-    converged restart already certifies a solution at ``residual_tol``, so
-    later restarts cannot improve on it materially.  Non-convergence is
-    reported in the result, never raised.
+    converged restart already meets ``residual_tol``, so later restarts
+    cannot improve on it materially.  Non-convergence is reported in the
+    result, never raised.
     """
     best: SearchResult | None = None
     for restart in range(cfg.restarts):
