@@ -7,6 +7,8 @@ force orthonormality and entropy oracles, and a numerical search for
 maximally entangled endpoints in arbitrary dimension.
 """
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     GramReport,
     build_state,
@@ -54,42 +56,7 @@ from .search import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhaseVector",
-    "root_of_unity",
-    "synthesize_coefficients",
-    "autocorrelation",
-    "entanglement",
-    "dft",
-    "idft",
-    "ORTHO_TOL",
-    "NORM_TOL",
-    "Family",
-    "family_d3_real",
-    "family_d3_complex",
-    "family_d4_real",
-    "family_d4_complex",
-    "family_d4_complex_entropy",
-    "PresetEntry",
-    "preset_phases",
-    "available_presets",
-    "interpolate",
-    "quadratic_phases",
-    "FLATNESS_TOL",
-    "GramReport",
-    "build_state",
-    "inner_product",
-    "gram_check",
-    "state_entanglement",
-    "shift_state",
-    "SearchConfig",
-    "SearchResult",
-    "SolutionCertificate",
-    "alternating_projection_search",
-    "iterate_projections",
-    "flatness_residual",
-    "verify_solution",
-    "CERT_RESIDUAL_TOL",
-    "CERT_ENTROPY_TOL",
-    "__version__",
-]
+# The public API is every name imported above, each written once where it is
+# imported, plus the version; the submodules that those imports bind are not.
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))] + ["__version__"]

@@ -116,12 +116,12 @@ def gram_check(a: np.ndarray) -> GramReport:
     shared cells, formed one d x d block at a time in O(d^2) memory.  The
     block is fixed by the rows the map gives label n (state m puts a_i on
     row rows[m, i]), so a label whose rows equal those of the last block
-    computed is checked but not multiplied again.  With the layout of
-    :func:`_support` every label has the same rows: one product, and
-    O(d^3 log d) time for the per-label checks; a map whose rows change
-    with n costs O(d^4).  ``worst_pair`` breaks ties as the dense
-    d^2 x d^2 matrix would, at the smallest row-major index
-    (m*d + n, m'*d + n').
+    computed has its diagonal checked but its rows neither sorted nor
+    multiplied again.  With the layout of :func:`_support` every label has
+    the same rows: one product, one sort, and O(d^3) time for the per-label
+    checks; a map whose rows change with n costs O(d^4).  ``worst_pair``
+    breaks ties as the dense d^2 x d^2 matrix would, at the smallest
+    row-major index (m*d + n, m'*d + n').
 
     Failure of orthonormality is reported in the maxima, never raised.
     Coefficients that are not a nonempty 1-d vector, or not finite, raise
@@ -141,16 +141,20 @@ def gram_check(a: np.ndarray) -> GramReport:
     worst = (1.0, 0, 0)  # least (-deviation, row, col) in the dense d^2 x d^2 matrix
     done = None  # the rows of the last block computed
     for n in range(d):
-        rows, cols = _support(d, m, n, i)
-        if np.any((cols - rows) % d != n) or np.any(np.sort(rows, axis=1) != i):
+        rows, diff = _support(d, m, n, i)
+        diff = diff - rows  # k - j of each cell; rebinding frees the column array
+        # The block depends on n only through rows.  Rows equal to the last
+        # ones computed are already known to be permutations, so they are not
+        # sorted again, and they give the same maxima, whose ties sit at a
+        # larger row-major index than those already folded in, so the report
+        # cannot change.  The wrapped diagonal is checked at every label.
+        fresh = done is None or not np.array_equal(rows, done)
+        if np.any((diff != n) & (diff != n - d)) or (fresh and np.any(np.sort(rows, axis=1) != i)):
             raise RuntimeError(
                 f"internal invariant violated: a state of label {n} does not "
                 f"cover wrapped diagonal {n} exactly once"
             )
-        # The block depends on n only through rows.  Equal rows give the same
-        # maxima, and their ties sit at a larger row-major index than those
-        # already folded in, so the report cannot change.
-        if done is not None and np.array_equal(rows, done):
+        if not fresh:
             continue
         done = rows
         # amp[m, j] is the amplitude of state (m, n) on cell (j, j+n).

@@ -73,9 +73,9 @@ MAX_CONSTRUCT_ROWS = 256**3
 # alone takes 16 d^2 bytes, 16 MB at d = 1024, and a process caches only the
 # matrix of its last d (``core._phase_matrix``); `search` also holds its
 # conjugate transpose, 32 MB in all at d = 1024.  `verify` of the quadratic
-# phases at d = 1024 took 33.6 s and 129.5 MB peak RSS (`main` in process,
-# ru_maxrss of the whole process; one BLAS thread, 2-vCPU Xeon VM, one run),
-# nearly all of it in the Gram oracle's per-label layout checks.
+# phases at d = 1024 took 16-20 s and 130 MB peak RSS (`main` in process,
+# ru_maxrss of the whole process; one BLAS thread, Xeon VM, two runs), most
+# of it in the Gram oracle's per-label gathers of the layout.
 MAX_DIMENSION = 1024
 
 # Output formats each subcommand writes.  Every subcommand takes --format

@@ -41,7 +41,7 @@ TWO_PI = 2.0 * math.pi
 # rounding error is at most about d * eps = 2.3e-13 at d = 1024 (eps =
 # 2.2e-16), below 1e-12.  Worst measured |G - I| entry for quadratic phases:
 # 2.7e-15 / 3.3e-15 / 7.4e-15 / 8.1e-15 / 1.2e-14 at d = 64 / 128 / 256 /
-# 512 / 1024.  The check takes about 4 s at d = 512 and 0.4 s at d = 256;
+# 512 / 1024.  The check takes about 2 s at d = 512 and 0.2 s at d = 256;
 # its time at d = 1024 is stated once, at ``cli.MAX_DIMENSION``.
 ORTHO_TOL = 1e-12
 

@@ -7,7 +7,7 @@ per manifest and per captured stdout and stderr, and one line
 ``timestamp`` masked, the one field that changes between runs.  The runs
 cover curves of all four families, every preset and ``--theta0`` at d = 64
 and 256, ``construct`` in JSON and CSV to a file and to stdout, ``verify``
-(up to d = 128, where the Gram oracle skips the most repeated blocks) and
+(up to d = 512, where the Gram oracle skips the most repeated blocks) and
 ``search`` (the largest seed, at an odd d, and d = 1024 pin the restart
 stream), the exit-2 error paths of bad sources, curve settings and search
 settings, ``--help`` of the program and of each subcommand (at a fixed
@@ -109,6 +109,8 @@ def runs() -> list[tuple[str, list[str]]]:
         ("verify-theta-64-scrambled", ["verify", "--theta", phases(64, "scrambled")]),
         ("verify-theta-128", ["verify", "--theta", phases(128, "quadratic")]),
         ("verify-theta-128-scrambled", ["verify", "--theta", phases(128, "scrambled")]),
+        # Where the Gram oracle skips the most repeated sorts.
+        ("verify-theta-512", ["verify", "--theta", phases(512, "quadratic")]),
         ("verify-coeffs-16", ["verify", f"--coeffs={coefficients(16)}"]),
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
