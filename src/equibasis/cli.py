@@ -147,21 +147,6 @@ def parse_coefficients(text: str) -> np.ndarray:
     return np.array(entries, dtype=complex)
 
 
-def check_finite_flags(args) -> None:
-    """Reject NaN or infinite values of the numeric flags, naming the flag."""
-    for dest, flag in FINITE_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
-
-
-def check_format(args) -> None:
-    """Refuse a --format the subcommand does not write (``OUTPUT_FORMATS``)."""
-    formats = OUTPUT_FORMATS[args.command]
-    if args.format not in (None, *formats):
-        raise ArgumentProblem(f"{args.command} output is {' or '.join(formats).upper()} only")
-
-
 def check_dimension(d: int, flag: str) -> None:
     """Refuse a dimension d above ``MAX_DIMENSION``, naming the flag that gave it."""
     if d > MAX_DIMENSION:
@@ -201,16 +186,15 @@ def versions_line() -> str:
     )
 
 
-def write_manifest(
-    output: Path, argv: list[str], config: dict, checks: list[dict] | None = None
-) -> None:
-    """Write the ``*.manifest.json`` sibling of output.  ``checks``, when
-    given, is recorded in its own block after ``config``."""
-    manifest = {"command": "equibasis " + " ".join(argv), "config": config}
-    if checks is not None:
-        manifest["checks"] = checks
-    manifest["versions"] = versions_line()
-    manifest["timestamp"] = utc_timestamp()
+def write_manifest(output: Path, argv: list[str], record: dict) -> None:
+    """Write the ``*.manifest.json`` sibling of output.
+
+    Its keys are, in order: ``command`` (the command line), the blocks of
+    ``record`` in the caller's order (``config`` for every subcommand, then
+    ``checks`` for ``verify``), ``versions`` and ``timestamp``.
+    """
+    manifest = {"command": "equibasis " + " ".join(argv), **record,
+                "versions": versions_line(), "timestamp": utc_timestamp()}
     _overwrite(output.with_suffix(".manifest.json"), [json.dumps(manifest, indent=2) + "\n"])
 
 
@@ -259,8 +243,7 @@ def _overwrite(path: Path, chunks: Iterable[str]) -> None:
                 fh.truncate()
 
 
-def save(path: Path, argv: list[str], chunks: Iterable[str], config: dict,
-         checks: list[dict] | None = None) -> None:
+def save(path: Path, argv: list[str], chunks: Iterable[str], record: dict) -> None:
     """Write the manifest of output path (:func:`write_manifest`), then its
     data (:func:`write_text`): the one write step of every subcommand.
 
@@ -281,20 +264,18 @@ def save(path: Path, argv: list[str], chunks: Iterable[str], config: dict,
     except FileNotFoundError:
         regular = True  # a new output is created as a regular file
     if regular and not os.path.abspath(path).startswith(("/dev/", "/proc/")):
-        write_manifest(path, argv, config, checks)
+        write_manifest(path, argv, record)
     write_text(path, chunks)
 
 
-def report(
-    args, argv: list[str], payload: dict, config: dict, checks: list[dict] | None = None
-) -> None:
+def report(args, argv: list[str], payload: dict, record: dict) -> None:
     """Print payload as indented JSON; with --output also :func:`save` that
-    text and a newline, with a manifest recording ``config`` (and
-    ``checks``, when given)."""
+    text and a newline, with ``record`` in its manifest
+    (:func:`write_manifest`)."""
     text = json.dumps(payload, indent=2)
     print(text)
     if args.output is not None:
-        save(args.output, argv, [text, "\n"], config, checks)
+        save(args.output, argv, [text, "\n"], record)
 
 
 def say(args, message: str) -> None:
@@ -402,7 +383,7 @@ def cmd_construct(args, argv: list[str]) -> int:
     if args.output is None:
         sys.stdout.writelines(chunks)
     else:
-        save(args.output, argv, chunks, {"source": desc, "d": a.size, "format": fmt})
+        save(args.output, argv, chunks, {"config": {"source": desc, "d": a.size, "format": fmt}})
         say(args, f"wrote {args.output}")
     return 0
 
@@ -524,7 +505,8 @@ def cmd_curve(args, argv: list[str]) -> int:
             yield curve_rows(points, values)
 
     output = args.output if args.output is not None else Path("curve.csv")
-    save(output, argv, csv_chunks(), dict(desc, start=args.start, stop=args.stop, step=args.step))
+    config = dict(desc, start=args.start, stop=args.stop, step=args.step)
+    save(output, argv, csv_chunks(), {"config": config})
 
     say(args, f"wrote {output}")
     say(args, f"grid maximum: entanglement={best_e:.15g} at param={best_p:.15g}")
@@ -543,7 +525,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         "maximal": cert.maximal,
     }
     checks = [check._asdict() for check in cert.checks]
-    report(args, argv, payload, {"source": desc, "d": a.size}, checks)
+    report(args, argv, payload, {"config": {"source": desc, "d": a.size}, "checks": checks})
     return 0 if cert.gram_pass else 1
 
 
@@ -573,7 +555,7 @@ def cmd_search(args, argv: list[str]) -> int:
         "max_iters": cfg.max_iters,
         "residual_tol": cfg.residual_tol,
     }
-    report(args, argv, payload, config)
+    report(args, argv, payload, {"config": config})
     return 0 if result.converged else 1
 
 
@@ -668,8 +650,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        check_finite_flags(args)
-        check_format(args)
+        # Before any work: each numeric flag must be finite, then --format
+        # must be one the subcommand writes (exit 2 for either, naming it).
+        for dest, flag in FINITE_FLAGS.items():
+            value = getattr(args, dest, None)
+            if value is not None and not math.isfinite(value):
+                raise ArgumentProblem(f"{flag} must be a finite number, got {value}")
+        formats = OUTPUT_FORMATS[args.command]
+        if args.format not in (None, *formats):
+            raise ArgumentProblem(f"{args.command} output is {' or '.join(formats).upper()} only")
         return args.func(args, argv)
     except ValueError as exc:  # ArgumentProblem and the library's own rejections
         print(f"error: {exc}", file=sys.stderr)
