@@ -63,19 +63,19 @@ _ROW_LAYOUT = {
 MAX_CURVE_POINTS = 10**6
 
 # Most rows `construct` may write: d^3 for dimension d, so d = 256 is the
-# largest accepted (16.8 M rows, about 1.8 GB of JSON).  A larger --theta is
-# refused (exit 2) before any synthesis.
+# largest accepted (16.8 M rows, about 1.8 GB of JSON or 0.9 GB of CSV).  A
+# larger --theta is refused (exit 2) before any synthesis.
 MAX_CONSTRUCT_ROWS = 256**3
 
 # Largest dimension d any subcommand accepts.  A --theta, --theta0 or
 # --coeffs list longer than this, or a larger `search --d`, is refused
-# (exit 2) before anything of size d^2 is allocated: the d x d phase matrix
-# alone takes 16 d^2 bytes, 16 MB at d = 1024, and a process caches only the
-# matrix of its last d (``core._phase_matrix``); `search` also holds its
-# conjugate transpose, 32 MB in all at d = 1024.  `verify` of the quadratic
-# phases at d = 1024 took 16-20 s and 130 MB peak RSS (`main` in process,
-# ru_maxrss of the whole process; one BLAS thread, Xeon VM, two runs), most
-# of it in the Gram oracle's per-label gathers of the layout.
+# (exit 2) before anything of size d^2 is allocated, such as the d x d phase
+# matrix (``core._phase_matrix`` states what it and a search's copy of it
+# take).  `verify` of the quadratic phases (`main` in process, one BLAS
+# thread, 2-vCPU Xeon VM) takes about 0.15 s at d = 256 and 1.4-1.7 s at
+# d = 512 (three runs each), and 15-16 s and 130 MB peak RSS at d = 1024
+# (ru_maxrss of the whole process; two runs), most of it in the Gram
+# oracle's per-label gathers of the layout.
 MAX_DIMENSION = 1024
 
 # Output formats each subcommand writes.  Every subcommand takes --format
@@ -189,9 +189,12 @@ def versions_line() -> str:
 def write_manifest(output: Path, argv: list[str], record: dict) -> None:
     """Write the ``*.manifest.json`` sibling of output.
 
-    Its keys are, in order: ``command`` (the command line), the blocks of
-    ``record`` in the caller's order (``config`` for every subcommand, then
-    ``checks`` for ``verify``), ``versions`` and ``timestamp``.
+    The name replaces the output's suffix, so outputs that differ only in
+    their suffix (``basis.json``, ``basis.csv``) share one manifest, which
+    describes whichever ran last.  Its keys are, in order: ``command`` (the
+    command line), the blocks of ``record`` in the caller's order
+    (``config`` for every subcommand, then ``checks`` for ``verify``),
+    ``versions`` and ``timestamp``.
     """
     manifest = {"command": "equibasis " + " ".join(argv), **record,
                 "versions": versions_line(), "timestamp": utc_timestamp()}
@@ -398,14 +401,14 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
     gives every j column (row m) and every k column (row r).  Only d
     distinct amplitude pairs occur, so each is formatted once.  A row ends
     in k and cell i, so the d^2 tails ``tails[r][i]`` are joined once per
-    call (7 MB of CSV or 8 MB of JSON tails at d = 256, against 0.9 or
-    1.8 GB of output).  Each state is then one ``"".join`` over a reused
-    list of 3d slots: the row separator and (m, n) lead, the j column of
-    this m, and the tails of this r.  No per-row string is built, and the
-    d^3 rows and the whole text are never held at once.  The JSON chunks
-    splice the rows into ``json.dumps(indent=2)`` of the header payload
-    with an empty ``states`` list, and give the bytes that dumping the full
-    payload would give; the CSV rows use ``repr`` of each float.
+    call (7 MB of CSV or 8 MB of JSON tails at d = 256, under 1 % of the
+    output, ``MAX_CONSTRUCT_ROWS``).  Each state is then one ``"".join``
+    over a reused list of 3d slots: the row separator and (m, n) lead, the
+    j column of this m, and the tails of this r.  No per-row string is
+    built, and the d^3 rows and the whole text are never held at once.  The
+    JSON chunks splice the rows into ``json.dumps(indent=2)`` of the header
+    payload with an empty ``states`` list, and give the bytes that dumping
+    the full payload would give; the CSV rows use ``repr`` of each float.
     """
     d = a.size
     pairs = [(float(z.real), float(z.imag)) for z in a]

@@ -41,8 +41,10 @@ TWO_PI = 2.0 * math.pi
 # rounding error is at most about d * eps = 2.3e-13 at d = 1024 (eps =
 # 2.2e-16), below 1e-12.  Worst measured |G - I| entry for quadratic phases:
 # 2.7e-15 / 3.3e-15 / 7.4e-15 / 8.1e-15 / 1.2e-14 at d = 64 / 128 / 256 /
-# 512 / 1024.  The check takes about 2 s at d = 512 and 0.2 s at d = 256;
-# its time at d = 1024 is stated once, at ``cli.MAX_DIMENSION``.
+# 512 / 1024; for Bjorck phases (Bjorck 1985, 1990; flat at every odd prime
+# p): 3.8e-15 / 6.5e-15 / 1.0e-14 / 1.8e-14 / 1.5e-14 at p = 61 / 127 / 251 /
+# 509 / 1021.  The families differ most near 512, where Bjorck's entry is 2.2
+# times the quadratic one; both stay more than 50 times below the bound.
 ORTHO_TOL = 1e-12
 
 # Largest norm deviation accepted by the entropy routines.  A norm summed
@@ -60,8 +62,12 @@ NORM_TOL = 1e-9
 # the preset check and the certificate both read it.  Each coefficient is a
 # sum of d unit-modulus terms scaled by 1/d, so its modulus errs by at most
 # about d * eps = 2.3e-13 at d = 1024, and the residual of an exact endpoint
-# stays far below 1e-9 (measured for quadratic phases: 2.3e-15 / 4.1e-15 /
-# 5.6e-15 / 7.7e-15 / 1.4e-14 at d = 64 / 128 / 256 / 512 / 1024).
+# stays far below 1e-9.  Measured for quadratic phases: 2.3e-15 / 4.1e-15 /
+# 5.6e-15 / 7.7e-15 / 1.4e-14 at d = 64 / 128 / 256 / 512 / 1024; for Bjorck
+# phases: 2.8e-15 / 5.7e-15 / 7.2e-15 / 1.6e-14 / 1.4e-14 at p = 61 / 127 /
+# 251 / 509 / 1021, twice the quadratic residual near 512.  The worst over
+# all d = 2..1024 (quadratic, at d = 956) and over the 171 odd primes up to
+# 1021 (Bjorck, at p = 503) is the same, 2.4e-14.
 FLATNESS_TOL = 1e-9
 
 
@@ -127,8 +133,8 @@ def root_of_unity(d: int, p: int) -> complex:
 # operation and a change of d rebuilds it, releasing the old one.  A rebuild
 # costs 0.17 / 0.55 / 1.9 / 39 ms at d = 64 / 128 / 256 / 1024 and gives the
 # same bits.  It is built in place: the product, the quotient and the
-# exponential share one array, so a build at d = 1024 peaks at the 8 MB
-# integer table plus 16 MB, not 32 MB.
+# exponential share one array, so a build peaks at the integer table
+# (8*d^2 bytes) plus one complex matrix, not two.
 @lru_cache(maxsize=1)
 def _phase_matrix(d: int) -> np.ndarray:
     """The d x d matrix E[j, alpha] = xi^(j*alpha), xi = exp(2*pi*i/d)."""

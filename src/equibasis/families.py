@@ -193,9 +193,9 @@ def quadratic_phases(d: int) -> PhaseVector:
     theta_alpha = pi*alpha^2/d for even d and pi*alpha*(alpha+1)/d for odd
     d: the Frank-Zadoff-Chu sequence, whose transform has constant modulus
     for every d (D. C. Chu, IEEE Trans. Inf. Theory 18, 1972), so the
-    synthesized coefficients are flat.  The measured worst flatness
-    residual over d = 2..1024 (``cli.MAX_DIMENSION``) is 2.4e-14, at
-    d = 956.  theta_0 = 0, so the vector is already gauge-fixed.
+    synthesized coefficients are flat; their measured flatness residual
+    is stated at ``core.FLATNESS_TOL``.  theta_0 = 0, so the vector is
+    already gauge-fixed.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
