@@ -6,12 +6,13 @@ m+n times on the second, putting a_i on |i+m, i+m+n> (indices mod d).  A
 full state is stored as the d x d amplitude matrix amp[j, k] for |j, k>.
 
 Nothing here assumes the coefficients came from the Fourier synthesis:
-orthonormality is checked by materializing all d^2 states and taking their
-pairwise inner products, and entanglement is recomputed from the reduced
-density matrix spectrum.  Both serve as independent oracles for the
-shortcut formulas in :mod:`equibasis.core`, so neither uses the cyclic
-autocorrelation, an FFT or the synthesis.  They exploit only the layout of
-the states, and check that layout instead of assuming it.
+orthonormality is checked on the layout of the d^2 states, one d x d block
+of inner products per distinct row map (see :func:`gram_check`), and
+entanglement is recomputed from the reduced density matrix spectrum.  Both
+serve as independent oracles for the shortcut formulas in
+:mod:`equibasis.core`, so neither uses the cyclic autocorrelation, an FFT
+or the synthesis.  They exploit only the layout of the states, and check
+that layout instead of assuming it.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from .core import NORM_TOL, ORTHO_TOL, _weights_entropy
 # negative than this is rejected as non-physical.  eigvalsh of the unit-trace
 # rho_A errs by about d * eps * |rho_A| <= 2.3e-13 at d = 1024.  A basis
 # state's rho_A is exactly diagonal and never reaches eigvalsh; measured on
-# that route at d = 64/128/256/512/1024: quadratic-phase states mixed by the
-# DFT on the second system deviate from 1/d by at most
-# 6.6e-16/7.8e-16/7.5e-16/7.4e-16/9.2e-16, and random rank-1 states have
-# worst eigenvalues -3.1e-16/-5.7e-16/-5.1e-16/-1.2e-15/-1.8e-15.
+# that route, with the seed state mixed by the unitary DFT on the second
+# system, its eigenvalues deviate from 1/d by at most
+# 6.6e-16/7.8e-16/7.5e-16/7.4e-16/9.2e-16 for quadratic phases at
+# d = 64/128/256/512/1024, and by 8.1e-16/1.1e-15/1.0e-15/1.4e-15/9.8e-16
+# for Bjorck phases at p = 61/127/251/509/1021, up to twice the quadratic
+# figure near 512.  Random rank-1 states have worst eigenvalues
+# -3.1e-16/-5.7e-16/-5.1e-16/-1.2e-15/-1.8e-15 at d = 64 ... 1024.
 EIGENVALUE_FLOOR = -1e-12
 
 
@@ -108,24 +112,47 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> complex:
 def gram_check(a: np.ndarray) -> GramReport:
     """Brute-force orthonormality report for the d^2 states seeded by a.
 
-    Lays out every state with the support map :func:`_support` and
-    checks that each state of label n covers the wrapped diagonal
-    k - j = n (mod d) once, so the d diagonals tile the d x d grid.  States
-    of different n then share no cell, and their Gram entries are exactly
-    zero.  Each same-n block <psi_mn|psi_m'n> is a direct sum over the d
-    shared cells, formed one d x d block at a time in O(d^2) memory.  The
-    block is fixed by the rows the map gives label n (state m puts a_i on
-    row rows[m, i]), so a label whose rows equal those of the last block
+    This docstring owns the proof of the paper's claims (i) and (ii) for the
+    states :func:`_support` lays out.  For each label n it checks two things
+    of the d states (m, n): the rows on which a state puts a_0, ..., a_{d-1}
+    are a permutation of 0..d-1, and its columns are that same permutation
+    shifted by n (k - j = n mod d).
+
+    (i) The states are orthonormal when the report passes.  The d diagonals
+    k - j = n tile the d x d grid, so states of different n share no cell
+    and their Gram entries are exactly zero.  Each same-n block
+    <psi_mn|psi_m'n> is a direct sum over the d shared cells, formed one
+    d x d block at a time in O(d^2) memory.  The report holds the largest
+    |G - I| entries over all blocks, and passes when both are below
+    ``ORTHO_TOL``.
+
+    (ii) Every state has the same entanglement.  With its rows a permutation
+    and its columns the same permutation shifted by n, each of the d^2
+    amplitude matrices is monomial with entries a_i: its reduced state is
+    diagonal and its Schmidt spectrum is exactly {|a_i|^2}.  This holds for
+    any a, orthonormal or not.  Every entanglement measure of a pure state
+    is a function of that spectrum (Nielsen, PRL 1999; Vidal, J. Mod. Opt.
+    2000), so the entanglement computed from a alone, the certificate's
+    ``entanglement`` (:class:`equibasis.search.SolutionCertificate`) and
+    ``verify``'s, is the entanglement of all d^2 states; a per-state entropy
+    differs from it only by the rounding of its sum.  Callers run this check
+    before any entropy, so a broken layout exits 4 before one is computed.
+
+    The block is fixed by the rows the map gives label n (state m puts a_i
+    on row rows[m, i]), so a label whose rows equal those of the last block
     computed has its diagonal checked but its rows neither sorted nor
     multiplied again.  With the layout of :func:`_support` every label has
     the same rows: one product, one sort, and O(d^3) time for the per-label
     checks; a map whose rows change with n costs O(d^4).  ``worst_pair``
-    breaks ties as the dense d^2 x d^2 matrix would, at the smallest
-    row-major index (m*d + n, m'*d + n').
+    breaks ties at the least pair of labels ((m, n), (m', n')) in
+    lexicographic order, which is the row-major order m*d + n of the dense
+    d^2 x d^2 Gram matrix.
 
-    Failure of orthonormality is reported in the maxima, never raised.
-    Coefficients that are not a nonempty 1-d vector, or not finite, raise
-    ValueError; a support map that breaks the layout raises RuntimeError.
+    Failure of orthonormality is reported in the maxima, never raised; a NaN
+    Gram entry (coefficients whose products overflow) makes them NaN, and
+    the report fails.  Coefficients that are not a nonempty 1-d vector, or
+    not finite, raise ValueError; a support map that breaks the layout
+    raises RuntimeError.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1 or a.size == 0:
@@ -138,7 +165,7 @@ def gram_check(a: np.ndarray) -> GramReport:
     identity = np.eye(d)
     max_offdiag = 0.0  # the zero entries between different n
     max_diag_dev = 0.0
-    worst = (1.0, 0, 0)  # least (-deviation, row, col) in the dense d^2 x d^2 matrix
+    worst = (1.0, (0, 0), (0, 0))  # least (-deviation, row label, column label)
     done = None  # the rows of the last block computed
     for n in range(d):
         rows, diff = _support(d, m, n, i)
@@ -163,17 +190,17 @@ def gram_check(a: np.ndarray) -> GramReport:
         deviation = np.abs(amp.conj() @ amp.T - identity)
 
         r, c = divmod(int(np.argmax(deviation)), d)
-        worst = min(worst, (-float(deviation[r, c]), r * d + n, c * d + n))
-        max_diag_dev = max(max_diag_dev, float(deviation.diagonal().max()))
+        worst = min(worst, (-float(deviation[r, c]), (r, n), (c, n)))
+        # np.maximum, not max: a NaN entry must reach the report and fail it.
+        max_diag_dev = np.maximum(max_diag_dev, deviation.diagonal().max())
         np.fill_diagonal(deviation, 0.0)
-        max_offdiag = max(max_offdiag, float(deviation.max()))
+        max_offdiag = np.maximum(max_offdiag, deviation.max())
 
-    _, row, col = worst
     return GramReport(
         d=d,
-        max_offdiag=max_offdiag,
-        max_diag_dev=max_diag_dev,
-        worst_pair=((row // d, row % d), (col // d, col % d)),
+        max_offdiag=float(max_offdiag),
+        max_diag_dev=float(max_diag_dev),
+        worst_pair=worst[1:],
     )
 
 

@@ -50,12 +50,15 @@ ORTHO_TOL = 1e-12
 # Largest norm deviation accepted by the entropy routines.  A norm summed
 # from n squared moduli errs by at most about n * eps: 2.3e-13 for the d
 # coefficients at d = 1024 and 2.3e-10 for the d^2 cells of a general state,
-# both inside 1e-9.  Measured worst |norm - 1| of quadratic-phase basis
-# states, summed from the row sums of |s|^2 as
-# :func:`equibasis.basis.state_entanglement` does: over all d^2 states,
-# 4.4e-16 / 6.7e-16 / 3.6e-15 at d = 64 / 128 / 256; over the d states of
-# label n = 0, 3.1e-15 / 4.9e-15 at d = 512 / 1024, and 4.9e-15 over 200
-# random states at d = 1024.
+# both inside 1e-9.  Measured worst |norm - 1| of basis states, summed from
+# the row sums of |s|^2 as :func:`equibasis.basis.state_entanglement` does.
+# The sum depends only on the row order, that is on m, so the d states of
+# label n = 0 give every value the d^2 states give.  Quadratic phases:
+# 4.4e-16 / 6.7e-16 / 3.6e-15 / 3.1e-15 / 4.9e-15 at d = 64 / 128 / 256 /
+# 512 / 1024, and 4.9e-15 over 200 random states at d = 1024.  Bjorck
+# phases: 1.1e-15 / 1.2e-15 / 5.2e-15 / 6.4e-15 / 4.2e-15 at p = 61 / 127 /
+# 251 / 509 / 1021.  Bjorck's deviation is up to 2.5 times the quadratic
+# one (at 61, and twice it near 512); both stay 10^5 times below the bound.
 NORM_TOL = 1e-9
 
 # Largest flatness residual (see :func:`flatness`) of a flat-modulus vector:

@@ -180,6 +180,27 @@ def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:
     product basis at t = 0 and the same entanglement at t = 1, but where
     the constant shift wraps some phase past 2*pi they trace different
     curves in between.  Fix the gauge first to get one path per endpoint.
+
+    This docstring owns the paper's claim (iii): the bases move continuously
+    from the product basis to the endpoint's.  The coefficients are
+    a(t) = F c(t), with c(t) = exp(i*t*theta0)/sqrt(d) and F the unitary
+    Fourier matrix, so for t, s in [0, 1]
+
+        ||a(t) - a(s)||_2 = ||c(t) - c(s)||_2 <= L * |t - s|,
+        L = ||theta0||_2 / sqrt(d) < 2*pi,
+
+    with theta0 taken as stored, in [0, 2*pi).  Every basis state puts a(t)
+    on the same cells at every t (:func:`equibasis.basis.gram_check`), so
+    all d^2 states move by exactly ||a(t) - a(s)||_2 at once.  Their reduced
+    states are diagonal, holding the |a_i|^2 in one fixed order, so their
+    trace distance T is at most ||a(t) - a(s)||_2, and Fannes-Audenaert
+    (Fannes 1973; Audenaert, J. Phys. A 2007) bounds the step in the base-d
+    entanglement:
+
+        |E(t) - E(s)| <= [T ln(d - 1) + h2(T)] / ln d,
+
+    h2 the binary entropy in nats.  The right side grows with T up to
+    T = 1 - 1/d, where it reaches 1, so ||a(t) - a(s)||_2 may stand in for T.
     """
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= 1.0)):

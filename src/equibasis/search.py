@@ -109,7 +109,9 @@ class CertificateCheck(NamedTuple):
 @dataclass(frozen=True)
 class SolutionCertificate:
     """Bundled evidence for one coefficient vector: flatness residual,
-    brute-force Gram report, and entanglement of the seed state.
+    brute-force Gram report, and entanglement.  The entanglement is computed
+    from the coefficients, and it is that of all d^2 states: the Gram
+    oracle's layout check proves it (see :func:`equibasis.basis.gram_check`).
 
     :meth:`of` is the one assembly, ``checks`` the one certificate rule and
     ``maximal`` its verdict, used by :func:`verify_solution` and by the
@@ -300,9 +302,10 @@ def verify_solution(theta: PhaseVector) -> SolutionCertificate:
     """Independent certificate for a phase vector.
 
     Combines the flatness residual, the brute-force Gram check of all d^2
-    states, and the entanglement of the seed state, all read off one
-    synthesis.  ``maximal`` holds iff residual < ``CERT_RESIDUAL_TOL``, the
-    Gram check passes, and |E - 1| < ``CERT_ENTROPY_TOL``.
+    states, and their one entanglement (why it is one value: see
+    :func:`equibasis.basis.gram_check`), all read off one synthesis.
+    ``maximal`` holds iff residual < ``CERT_RESIDUAL_TOL``, the Gram check
+    passes, and |E - 1| < ``CERT_ENTROPY_TOL``.
     """
     a = synthesize_coefficients(theta)
     return SolutionCertificate.of(a, gram_check(a))

@@ -7,7 +7,8 @@ per manifest and per captured stdout and stderr, and one line
 ``timestamp`` masked, the one field that changes between runs.  The runs
 cover curves of all four families, every preset and ``--theta0`` at d = 64
 and 256, ``construct`` in JSON and CSV to a file and to stdout, ``verify``
-(up to d = 512, where the Gram oracle skips the most repeated blocks) and
+(up to d = 512, where the Gram oracle skips the most repeated blocks, and
+Bjorck's flat phases at p = 509, a second flat family at large d) and
 ``search`` (the largest seed, at an odd d, and d = 1024 pin the restart
 stream), the exit-2 error paths of bad sources, curve settings and search
 settings, ``--help`` of the program and of each subcommand (at a fixed
@@ -49,6 +50,19 @@ def phases(d: int, kind: str) -> str:
         values = [math.pi * a * (a if d % 2 == 0 else a + 1) / d for a in range(d)]
     else:
         values = [(0.731 * a * a + 1.9 * a) % (2.0 * math.pi) for a in range(d)]
+    return ",".join(repr(v) for v in values)
+
+
+def bjorck(p: int) -> str:
+    """Bjorck's flat phases for an odd prime p (Bjorck 1985, 1990), with
+    (k/p) the Legendre symbol: arccos(1 / (1 + sqrt(p))) * (k/p) for
+    p = 1 (mod 4), else arccos((1 - p) / (1 + p)) where (k/p) = -1 and 0
+    elsewhere."""
+    legendre = [0] + [1 if pow(k, (p - 1) // 2, p) == 1 else -1 for k in range(1, p)]
+    if p % 4 == 1:
+        values = [math.acos(1.0 / (1.0 + math.sqrt(p))) * s for s in legendre]
+    else:
+        values = [math.acos((1.0 - p) / (1.0 + p)) if s == -1 else 0.0 for s in legendre]
     return ",".join(repr(v) for v in values)
 
 
@@ -111,6 +125,8 @@ def runs() -> list[tuple[str, list[str]]]:
         ("verify-theta-128-scrambled", ["verify", "--theta", phases(128, "scrambled")]),
         # Where the Gram oracle skips the most repeated sorts.
         ("verify-theta-512", ["verify", "--theta", phases(512, "quadratic")]),
+        # A second flat family at large d, unlike the quadratic phases.
+        ("verify-bjorck-509", ["verify", "--theta", bjorck(509)]),
         ("verify-coeffs-16", ["verify", f"--coeffs={coefficients(16)}"]),
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
