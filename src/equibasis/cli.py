@@ -11,12 +11,12 @@ tolerance and verdict).  Data files are byte-identical across repeated
 runs; only the manifest carries a timestamp.  Every output goes through
 ``save``, which says which outputs get a manifest and why it is written
 first; ``_overwrite`` says how an existing file is rewritten and what a
-killed run leaves.
+killed run leaves.  ``--quiet`` silences only the ``wrote ...`` and
+grid-maximum lines; ``verify`` and ``search`` still print their JSON.
 
-Exit codes: 0 success, 1 failed verification or non-converged search,
-2 bad arguments, 3 I/O failure, 4 internal error (an invariant of the
-program itself failed, such as the basis layout checked by the Gram
-oracle; please report it).
+The exit codes are listed once, in README's "Exit codes": ``main``
+returns each one, and ``entrypoint`` turns any exception ``main`` lets
+through into exit 4.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ import json
 import math
 import os
 import re
+import shlex
 import stat
 import sys
+import traceback
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -192,11 +194,12 @@ def write_manifest(output: Path, argv: list[str], record: dict) -> None:
     The name replaces the output's suffix, so outputs that differ only in
     their suffix (``basis.json``, ``basis.csv``) share one manifest, which
     describes whichever ran last.  Its keys are, in order: ``command`` (the
-    command line), the blocks of ``record`` in the caller's order
+    command line, quoted by ``shlex.join`` so that a POSIX shell re-runs
+    it), the blocks of ``record`` in the caller's order
     (``config`` for every subcommand, then ``checks`` for ``verify``),
     ``versions`` and ``timestamp``.
     """
-    manifest = {"command": "equibasis " + " ".join(argv), **record,
+    manifest = {"command": "equibasis " + shlex.join(argv), **record,
                 "versions": versions_line(), "timestamp": utc_timestamp()}
     _overwrite(output.with_suffix(".manifest.json"), [json.dumps(manifest, indent=2) + "\n"])
 
@@ -675,7 +678,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script and ``python -m equibasis.cli``: exit with
+    ``main``'s code.  An exception ``main`` lets through is a fault of the
+    program, not a verdict: it is printed with its traceback and one
+    ``internal error:`` line, and exits 4 as ``main``'s own internal errors
+    do, so exit 1 only ever means a failed verification or search.  It is
+    caught here, not in ``main``, so an in-process caller still sees it.
+    """
+    try:
+        sys.exit(main())
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        sys.exit(4)
 
 
 if __name__ == "__main__":

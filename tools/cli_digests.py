@@ -4,14 +4,16 @@ Each run is an in-process call of ``equibasis.cli.main(argv)`` inside one
 temporary directory.  One line ``sha256  name`` is printed per data file,
 per manifest and per captured stdout and stderr, and one line
 ``exit N  name`` per run.  A manifest is digested with the value of its
-``timestamp`` masked, the one field that changes between runs.  The runs
-cover curves of all four families, every preset and ``--theta0`` at d = 64
-and 256, ``construct`` in JSON and CSV to a file and to stdout, ``verify``
-(up to d = 512, where the Gram oracle skips the most repeated blocks, and
-Bjorck's flat phases at p = 509, a second flat family at large d) and
-``search`` (the largest seed, at an odd d, and d = 1024 pin the restart
-stream), the exit-2 error paths of bad sources, curve settings and search
-settings, ``--help`` of the program and of each subcommand (at a fixed
+``timestamp`` masked, the one field that changes between runs; its
+``command`` is shell-quoted, and a ``--theta`` with spaces pins that
+quoting.  The runs cover curves of all four families, every preset and
+``--theta0`` at d = 64 and 256, ``construct`` in JSON and CSV to a file
+and to stdout, ``verify`` (up to d = 512, where the Gram oracle skips the
+most repeated blocks, Bjorck's flat phases at p = 509, a second flat
+family at large d, and that spaced ``--theta``) and ``search`` (the
+largest seed, at an odd d, and d = 1024 pin the restart stream), the
+exit-2 error paths of bad sources, curve settings and search settings,
+``--help`` of the program and of each subcommand (at a fixed
 ``COLUMNS``), and runs that write a longer, then a shorter output and
 manifest to the same ``--output`` (``construct`` JSON and CSV, ``curve``,
 ``verify`` and ``search``), digested after each run.  Last, one line
@@ -128,6 +130,8 @@ def runs() -> list[tuple[str, list[str]]]:
         # A second flat family at large d, unlike the quadratic phases.
         ("verify-bjorck-509", ["verify", "--theta", bjorck(509)]),
         ("verify-coeffs-16", ["verify", f"--coeffs={coefficients(16)}"]),
+        # An argument with spaces: the manifest's command must quote it.
+        ("verify-theta-spaced", ["verify", "--theta", "0, pi/2, pi"]),
         ("search-d6", ["search", "--d", "6", "--seed", "0", "--restarts", "2"]),
         ("search-d8", ["search", "--d", "8", "--seed", "3", "--restarts", "2"]),
         ("search-d12-capped", ["search", "--d", "12", "--restarts", "1", "--max-iters", "200"]),
@@ -186,6 +190,18 @@ def runs() -> list[tuple[str, list[str]]]:
     return out
 
 
+def with_output(name: str, argv: list[str]) -> tuple[list[str], Path | None]:
+    """The argv a run is made with, and the data file it writes (None when
+    it writes to stdout only), by the rule of :func:`runs`."""
+    if "--output" in argv:
+        return argv, Path(argv[argv.index("--output") + 1])
+    if name.endswith("-stdout") or name.startswith(("error-", "help-")):
+        return argv, None
+    csv = argv[0] == "curve" or "csv" in argv
+    data_file = Path(name + (".csv" if csv else ".json"))
+    return argv + ["--output", str(data_file)], data_file
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -203,13 +219,7 @@ def main_digests() -> int:
         os.chdir(tmp)  # relative --output paths keep the "wrote ..." lines fixed
         try:
             for name, argv in runs():
-                data_file = None
-                if "--output" in argv:
-                    data_file = Path(argv[argv.index("--output") + 1])
-                elif not (name.endswith("-stdout") or name.startswith(("error-", "help-"))):
-                    csv = argv[0] == "curve" or "csv" in argv
-                    data_file = Path(name + (".csv" if csv else ".json"))
-                    argv = argv + ["--output", str(data_file)]
+                argv, data_file = with_output(name, argv)
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
