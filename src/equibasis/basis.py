@@ -66,34 +66,35 @@ def _rotation(d: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.arange(2 * d) % d, d)[:d]
 
 
-def _support(d: int, m, n, i):
-    """Cell (j, k) = ((i+m) mod d, (i+m+n) mod d) that carries a_i in state (m, n).
+def _support(d: int, m, n):
+    """Rows j and k of the cells ((i+m) mod d, (i+m+n) mod d) of state (m, n).
 
-    The one definition of the state layout, read off the rotation table as
-    (R[m, i], R[(m+n) mod d, i]) for labels and indices in [0, d).  It
-    broadcasts over integer arrays: :func:`gram_check` lays out and checks
-    every state this way, and the ``construct`` writer takes its j and k
-    columns from it.  With ``i = slice(None)`` and integer labels it
-    returns two views of table rows, which :func:`build_state` reads.
+    The one definition of the state layout: a_i sits on cell (j[i], k[i]),
+    with j = R[m] and k = R[(m+n) mod d] the rows of the rotation table for
+    labels in [0, d).  An int m gives two views of table rows, which
+    :func:`build_state` reads.  A 1-d array of labels m gives one row per
+    label in each: :func:`gram_check` lays out and checks the d states of a
+    label n this way, and the ``construct`` writer takes its j and k
+    columns from the labels (m, 0).
     """
     table = _rotation(d)
-    return table[m, i], table[(m + n) % d, i]
+    return table[m], table[(m + n) % d]
 
 
 def build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """Amplitude matrix of the (m, n) basis state.
 
     amp[(i+m) mod d, (i+m+n) mod d] = a_i; all other entries zero.  The
-    cells are the two rows of the rotation table that :func:`_support`
-    returns for ``i = slice(None)``, so a state costs two basic indexes,
-    one allocation and one fancy assignment.
+    cells are the two rotation-table rows that :func:`_support` returns for
+    the labels, so a state costs two basic indexes, one allocation and one
+    fancy assignment.
     """
     a = np.asarray(a, dtype=complex)
     d = a.size
     if not (0 <= m <= d - 1 and 0 <= n <= d - 1):
         raise ValueError(f"labels must be in [0, {d - 1}], got ({m}, {n})")
     amp = np.zeros((d, d), dtype=complex)
-    amp[_support(d, m, n, slice(None))] = a
+    amp[_support(d, m, n)] = a
     return amp
 
 
@@ -142,11 +143,12 @@ def gram_check(a: np.ndarray) -> GramReport:
     on row rows[m, i]), so a label whose rows equal those of the last block
     computed has its diagonal checked but its rows neither sorted nor
     multiplied again.  With the layout of :func:`_support` every label has
-    the same rows: one product, one sort, and O(d^3) time for the per-label
-    checks; a map whose rows change with n costs O(d^4).  ``worst_pair``
-    breaks ties at the least pair of labels ((m, n), (m', n')) in
-    lexicographic order, which is the row-major order m*d + n of the dense
-    d^2 x d^2 Gram matrix.
+    the same rows: one product, one sort, and O(d^2) work per label, O(d^3)
+    in all, for the two row takes of the rotation table, the diagonal test
+    and the comparison with the last rows; a map whose rows change with n
+    costs O(d^4).  ``worst_pair`` breaks ties at the least pair of labels
+    ((m, n), (m', n')) in lexicographic order, which is the row-major order
+    m*d + n of the dense d^2 x d^2 Gram matrix.
 
     Failure of orthonormality is reported in the maxima, never raised; a NaN
     Gram entry (coefficients whose products overflow) makes them NaN, and
@@ -160,15 +162,14 @@ def gram_check(a: np.ndarray) -> GramReport:
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficients must be finite")
     d = a.size
-    m = np.arange(d)[:, None]
-    i = np.arange(d)
+    labels = np.arange(d)
     identity = np.eye(d)
     max_offdiag = 0.0  # the zero entries between different n
     max_diag_dev = 0.0
     worst = (1.0, (0, 0), (0, 0))  # least (-deviation, row label, column label)
     done = None  # the rows of the last block computed
     for n in range(d):
-        rows, diff = _support(d, m, n, i)
+        rows, diff = _support(d, labels, n)
         diff = diff - rows  # k - j of each cell; rebinding frees the column array
         # The block depends on n only through rows.  Rows equal to the last
         # ones computed are already known to be permutations, so they are not
@@ -176,7 +177,8 @@ def gram_check(a: np.ndarray) -> GramReport:
         # larger row-major index than those already folded in, so the report
         # cannot change.  The wrapped diagonal is checked at every label.
         fresh = done is None or not np.array_equal(rows, done)
-        if np.any((diff != n) & (diff != n - d)) or (fresh and np.any(np.sort(rows, axis=1) != i)):
+        unsorted = fresh and np.any(np.sort(rows, axis=1) != labels)
+        if unsorted or np.any((diff != n) & (diff != n - d)):
             raise RuntimeError(
                 f"internal invariant violated: a state of label {n} does not "
                 f"cover wrapped diagonal {n} exactly once"
@@ -186,7 +188,7 @@ def gram_check(a: np.ndarray) -> GramReport:
         done = rows
         # amp[m, j] is the amplitude of state (m, n) on cell (j, j+n).
         amp = np.zeros((d, d), dtype=complex)
-        amp[m, rows] = a
+        amp[labels[:, None], rows] = a
         deviation = np.abs(amp.conj() @ amp.T - identity)
 
         r, c = divmod(int(np.argmax(deviation)), d)

@@ -74,10 +74,12 @@ MAX_CONSTRUCT_ROWS = 256**3
 # (exit 2) before anything of size d^2 is allocated, such as the d x d phase
 # matrix (``core._phase_matrix`` states what it and a search's copy of it
 # take).  `verify` of the quadratic phases (`main` in process, one BLAS
-# thread, 2-vCPU Xeon VM) takes about 0.15 s at d = 256 and 1.4-1.7 s at
-# d = 512 (three runs each), and 15-16 s and 130 MB peak RSS at d = 1024
-# (ru_maxrss of the whole process; two runs), most of it in the Gram
-# oracle's per-label gathers of the layout.
+# thread, 2-vCPU Xeon VM) takes about 0.07 s at d = 256 and 0.6-0.7 s at
+# d = 512 (three runs each), and 8-9 s and 130 MB peak RSS at d = 1024
+# (ru_maxrss of the whole process; two runs).  Nearly all of it is the Gram
+# oracle's per-label work, at d = 1024: the two row takes of the layout into
+# fresh 8 MB arrays (4.4-4.6 ms), the wrapped diagonal's difference and test
+# (2.5-2.7 ms), and the comparison with the last rows (0.8 ms).
 MAX_DIMENSION = 1024
 
 # Output formats each subcommand writes.  Every subcommand takes --format
@@ -401,17 +403,18 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
     is the cell that :func:`basis._support` gives a_i.  In that layout j
     depends on the label only through m, and k only through
     r = (m+n) mod d, so one ``_support`` call over the d labels (s, 0)
-    gives every j column (row m) and every k column (row r).  Only d
-    distinct amplitude pairs occur, so each is formatted once.  A row ends
-    in k and cell i, so the d^2 tails ``tails[r][i]`` are joined once per
-    call (7 MB of CSV or 8 MB of JSON tails at d = 256, under 1 % of the
-    output, ``MAX_CONSTRUCT_ROWS``).  Each state is then one ``"".join``
-    over a reused list of 3d slots: the row separator and (m, n) lead, the
-    j column of this m, and the tails of this r.  No per-row string is
-    built, and the d^3 rows and the whole text are never held at once.  The
-    JSON chunks splice the rows into ``json.dumps(indent=2)`` of the header
-    payload with an empty ``states`` list, and give the bytes that dumping
-    the full payload would give; the CSV rows use ``repr`` of each float.
+    returns the rotation-table rows that give every j column (row m) and
+    every k column (row r).  Only d distinct amplitude pairs occur, so each
+    is formatted once.  A row ends in k and cell i, so the d^2 tails
+    ``tails[r][i]`` are joined once per call (7 MB of CSV or 8 MB of JSON
+    tails at d = 256, under 1 % of the output, ``MAX_CONSTRUCT_ROWS``).
+    Each state is then one ``"".join`` over a reused list of 3d slots: the
+    row separator and (m, n) lead, the j column of this m, and the tails of
+    this r.  No per-row string is built, and the d^3 rows and the whole
+    text are never held at once.  The JSON chunks splice the rows into
+    ``json.dumps(indent=2)`` of the header payload with an empty ``states``
+    list, and give the bytes that dumping the full payload would give; the
+    CSV rows use ``repr`` of each float.
     """
     d = a.size
     pairs = [(float(z.real), float(z.imag)) for z in a]
@@ -433,7 +436,7 @@ def construct_chunks(a: np.ndarray, desc: dict, e_value: float, fmt: str) -> Ite
     cells = np.array([f"{sep}{re!r}{sep}{im!r}{closing}" for re, im in pairs], dtype=object)
     labels = np.array([str(x) for x in range(d)], dtype=object)
     # State (m, n) puts a_i on (rows[m, i], cols[(m + n) % d, i]).
-    rows, cols = _support(d, np.arange(d)[:, None], 0, np.arange(d))
+    rows, cols = _support(d, np.arange(d), 0)
     columns = (labels + sep)[rows].tolist()
     tails = (labels[cols] + cells).tolist()
 

@@ -84,7 +84,7 @@ def test_sampled_states_of_flat_phases_have_the_certified_entanglement(theta):
 def test_a_broken_layout_exits_4_before_any_entropy(monkeypatch, capsys):
     honest = basis._support
     # labels 1 and 2 both land on diagonal 1
-    monkeypatch.setattr(basis, "_support", lambda d, m, n, i: honest(d, m, min(n, 1), i))
+    monkeypatch.setattr(basis, "_support", lambda d, m, n: honest(d, m, min(n, 1)))
     calls = []
     monkeypatch.setattr(search, "entanglement", lambda a: calls.append(a))
     assert main(["verify", "--preset", "d=3"]) == 4

@@ -12,7 +12,7 @@ from equibasis.cli import MAX_CONSTRUCT_ROWS, MAX_CURVE_POINTS, main
 def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
     honest = basis._support
     # labels 1 and 2 both land on diagonal 1
-    monkeypatch.setattr(basis, "_support", lambda d, m, n, i: honest(d, m, min(n, 1), i))
+    monkeypatch.setattr(basis, "_support", lambda d, m, n: honest(d, m, min(n, 1)))
     assert main(["verify", "--preset", "d=3"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "diagonal" in err

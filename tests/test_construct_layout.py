@@ -30,14 +30,13 @@ def test_construct_rows_are_the_library_layout(capsys, d, kind):
     assert len(rows) == d**3
 
     a = synthesize_coefficients(PhaseVector(theta))
-    i = np.arange(d)
     for start in range(0, d**3, d):
         state = rows[start : start + d]
         m, n = int(state[0][0]), int(state[0][1])
         assert all((int(r[0]), int(r[1])) == (m, n) for r in state)
         assert (m, n) == divmod(start // d, d)
 
-        j, k = basis._support(d, m, n, i)
+        j, k = basis._support(d, m, n)
         written = {(int(r[2]), int(r[3])) for r in state}
         assert written == set(zip(j.tolist(), k.tolist()))
 

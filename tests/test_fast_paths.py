@@ -3,8 +3,8 @@
 ``build_state`` reads its cells off two rows of a cached rotation table,
 and ``state_entanglement`` takes the row sums of |s|^2 from ``np.vecdot``
 and the norm from ``np.add.reduce``.  The references below are the
-previous bodies: the state laid out through ``basis._support`` on fresh
-index arrays, and the entropy from ``np.abs(s) ** 2`` with a separate norm
+previous bodies: the state laid out from the formula on fresh index
+arrays, and the entropy from ``np.abs(s) ** 2`` with a separate norm
 sum.  The projection step of the search skips its zero-modulus tie-break
 when no modulus is small; the reference always applies it.  A search
 sweep takes its residual from the extremes of the moduli and its phases
@@ -26,11 +26,12 @@ from equibasis.core import NORM_TOL, TWO_PI, _phase_matrix, _synthesize, _weight
 
 
 def reference_build_state(a: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The (m, n) state laid out through the support map."""
+    """The (m, n) state with a_i on ((i+m) mod d, (i+m+n) mod d)."""
     a = np.asarray(a, dtype=complex)
     d = a.size
+    i = np.arange(d)
     amp = np.zeros((d, d), dtype=complex)
-    amp[basis._support(d, m, n, np.arange(d))] = a
+    amp[(i + m) % d, (i + m + n) % d] = a
     return amp
 
 
@@ -110,6 +111,19 @@ def test_build_state_matches_support_layout(d):
     for m in range(d):
         for n in range(d):
             assert np.array_equal(build_state(a, m, n), reference_build_state(a, m, n))
+
+
+@pytest.mark.parametrize("d", range(1, 34))
+def test_label_array_support_stacks_the_int_label_rows(d):
+    """One row per label for a label array; table views for an int label."""
+    table = basis._rotation(d)
+    for n in range(d):
+        pairs = [basis._support(d, m, n) for m in range(d)]
+        for j, k in pairs:
+            assert np.shares_memory(j, table) and np.shares_memory(k, table)
+        rows, cols = basis._support(d, np.arange(d), n)
+        assert np.array_equal(rows, np.stack([j for j, _ in pairs]))
+        assert np.array_equal(cols, np.stack([k for _, k in pairs]))
 
 
 @given(basis_states())

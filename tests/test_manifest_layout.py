@@ -6,6 +6,7 @@ and ``timestamp`` come last; between them are the subcommand's blocks,
 """
 
 import json
+import shlex
 
 import pytest
 
@@ -27,4 +28,4 @@ def test_manifest_keys_and_command(tmp_path, name):
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     blocks = ["config", "checks"] if name == "verify" else ["config"]
     assert list(manifest) == ["command", *blocks, "versions", "timestamp"]
-    assert manifest["command"] == "equibasis " + " ".join(argv)
+    assert manifest["command"] == "equibasis " + shlex.join(argv)

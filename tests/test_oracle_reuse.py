@@ -34,7 +34,7 @@ def previous_gram_check(a: np.ndarray) -> GramReport:
     max_diag_dev = 0.0
     worst = (1.0, 0, 0)
     for n in range(d):
-        rows, cols = basis._support(d, m, n, i)
+        rows, cols = basis._support(d, np.arange(d), n)
         if np.any((cols - rows) % d != n) or np.any(np.sort(rows, axis=1) != i):
             raise RuntimeError(
                 f"internal invariant violated: a state of label {n} does not "
@@ -63,11 +63,10 @@ def dense_gram_report(a: np.ndarray) -> GramReport:
     """The whole d^2 x d^2 Gram matrix of the states laid out by ``basis._support``."""
     a = np.asarray(a, dtype=complex)
     d = a.size
-    i = np.arange(d)
     states = np.zeros((d * d, d, d), dtype=complex)
     for m in range(d):
         for n in range(d):
-            states[m * d + n][basis._support(d, m, n, i)] = a
+            states[m * d + n][basis._support(d, m, n)] = a
     states = states.reshape(d * d, d * d)
     deviation = np.abs(states.conj() @ states.T - np.eye(d * d))
     row, col = divmod(int(np.argmax(deviation)), d * d)
@@ -111,15 +110,19 @@ def test_reports_equal_the_every_block_reference(d):
         assert gram_check(a) == previous_gram_check(a), name
 
 
-def _relabel_m_for_odd_n(d, m, n, i):
+def _relabel_m_for_odd_n(d, m, n):
     """State m of an odd label n takes the cells of state d-1-m."""
+    m = np.asarray(m)[..., None]
+    i = np.arange(d)
     m = (d - 1 - m) if n % 2 else m
     return (i + m) % d, (i + m + n) % d
 
 
-def _reverse_odd_states_for_odd_n(d, m, n, i):
+def _reverse_odd_states_for_odd_n(d, m, n):
     """Also runs the cells of every odd state of an odd label backwards,
     so its blocks are no longer circulant."""
+    m = np.asarray(m)[..., None]
+    i = np.arange(d)
     m = (d - 1 - m) if n % 2 else m
     rows = np.where((n % 2 == 1) & (m % 2 == 1), (m - i) % d, (i + m) % d)
     return rows, (rows + n) % d
@@ -152,8 +155,8 @@ def test_every_label_is_still_checked(monkeypatch):
     """A map that breaks the layout only at the last label still raises."""
     honest = basis._support
 
-    def broken_last(d, m, n, i):
-        rows, cols = honest(d, m, n, i)
+    def broken_last(d, m, n):
+        rows, cols = honest(d, m, n)
         return (rows, (cols + 1) % d) if n == d - 1 else (rows, cols)
 
     monkeypatch.setattr(basis, "_support", broken_last)

@@ -112,14 +112,17 @@ class TestSupportCheck:
     def test_overlapping_diagonals_raise(self, monkeypatch):
         honest = basis._support
         # labels 1 and 2 both land on diagonal 1
-        monkeypatch.setattr(basis, "_support", lambda d, m, n, i: honest(d, m, min(n, 1), i))
+        monkeypatch.setattr(basis, "_support", lambda d, m, n: honest(d, m, min(n, 1)))
         with pytest.raises(RuntimeError, match="diagonal"):
             gram_check(np.ones(4, dtype=complex) / 2)
 
     def test_repeated_cell_raises(self, monkeypatch):
         honest = basis._support
         # a_0 and a_1 share a cell, so diagonal n is not covered once
-        monkeypatch.setattr(basis, "_support", lambda d, m, n, i: honest(d, m, n, i // 2 * 2))
+        monkeypatch.setattr(
+            basis, "_support",
+            lambda d, m, n: tuple(x[..., np.arange(d) // 2 * 2] for x in honest(d, m, n)),
+        )
         with pytest.raises(RuntimeError, match="diagonal"):
             gram_check(np.ones(4, dtype=complex) / 2)
 

@@ -8,9 +8,9 @@ per manifest and per captured stdout and stderr, and one line
 ``command`` is shell-quoted, and a ``--theta`` with spaces pins that
 quoting.  The runs cover curves of all four families, every preset and
 ``--theta0`` at d = 64 and 256, ``construct`` in JSON and CSV to a file
-and to stdout, ``verify`` (up to d = 512, where the Gram oracle skips the
-most repeated blocks, Bjorck's flat phases at p = 509, a second flat
-family at large d, and that spaced ``--theta``) and ``search`` (the
+and to stdout, ``verify`` (d = 512, where the Gram oracle skips the most
+repeated blocks, and ``MAX_DIMENSION``, d = 1024; Bjorck's flat phases at
+p = 509, a second flat family at large d; and that spaced ``--theta``) and ``search`` (the
 largest seed, at an odd d, and d = 1024 pin the restart stream), the
 exit-2 error paths of bad sources, curve settings and search settings,
 ``--help`` of the program and of each subcommand (at a fixed
@@ -127,6 +127,8 @@ def runs() -> list[tuple[str, list[str]]]:
         ("verify-theta-128-scrambled", ["verify", "--theta", phases(128, "scrambled")]),
         # Where the Gram oracle skips the most repeated sorts.
         ("verify-theta-512", ["verify", "--theta", phases(512, "quadratic")]),
+        # The largest dimension, where ``core.ORTHO_TOL``'s comment bounds the Gram error.
+        ("verify-theta-1024", ["verify", "--theta", phases(1024, "quadratic")]),
         # A second flat family at large d, unlike the quadratic phases.
         ("verify-bjorck-509", ["verify", "--theta", bjorck(509)]),
         ("verify-coeffs-16", ["verify", f"--coeffs={coefficients(16)}"]),
