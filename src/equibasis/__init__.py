@@ -23,9 +23,7 @@ from .core import (
     ORTHO_TOL,
     PhaseVector,
     autocorrelation,
-    dft,
     entanglement,
-    idft,
     root_of_unity,
     synthesize_coefficients,
 )
@@ -49,7 +47,6 @@ from .search import (
     SearchResult,
     SolutionCertificate,
     alternating_projection_search,
-    flatness_residual,
     iterate_projections,
     verify_solution,
 )

@@ -149,33 +149,6 @@ def _phase_matrix(d: int) -> np.ndarray:
     return mat
 
 
-def dft(v: np.ndarray) -> np.ndarray:
-    """Unitary transform w_j = (1/sqrt(d)) * sum_alpha v_alpha * xi^(j*alpha).
-
-    Sign convention: positive exponent forward, so a delta maps to the flat
-    vector (1/sqrt(d), ..., 1/sqrt(d)).  :func:`idft` is the inverse.
-
-    Unused by the library; kept for the tests, which import it from ``equibasis``.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("dft expects a nonempty 1-d vector")
-    d = v.size
-    return (_phase_matrix(d) @ v) / math.sqrt(d)
-
-
-def idft(w: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft` (conjugate kernel, same normalization).
-
-    Unused by the library; kept for the tests, which import it from ``equibasis``.
-    """
-    w = np.asarray(w, dtype=complex)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("idft expects a nonempty 1-d vector")
-    d = w.size
-    return (_phase_matrix(d).conj() @ w) / math.sqrt(d)
-
-
 def _synthesize(theta: np.ndarray) -> np.ndarray:
     """Forward synthesis along the last axis of a (..., d) array of phases.
 
@@ -183,6 +156,17 @@ def _synthesize(theta: np.ndarray) -> np.ndarray:
     evaluates as one BLAS matrix-vector product per row, so each row has the
     bits of the 1-d product.  A plain (n, d) @ (d, d) matrix product would
     not: its blocked summation differs in the last bits.
+
+    Why a gemv and not an FFT: an FFT synthesis (``np.fft.ifft`` here and
+    ``np.fft.fft`` in the search step) was measured on the ``emit``
+    benchmark, seed 1 (2-vCPU AVX-512 Xeon VM, numpy 2.4, one BLAS thread;
+    per-job medians of 15 in-process runs, four alternating rounds).  The
+    d = 256 ``--interpolate`` curves went from 94-105 to 52-58 ms, but the
+    d = 32 search went from 37-38 to 45-56 ms at the same 1027 sweeps, and
+    the tail job (``job_p_hi_ms``) of two 20 s emit runs each went from
+    15.3 / 16.0 to 22.6 / 19.5 ms, with ``jobs_per_s`` within the noise.
+    All 14 emit searches of seed 1 kept their sweeps and restart index
+    under the FFT bits.
     """
     d = theta.shape[-1]
     return (_phase_matrix(d) @ np.exp(1j * theta)[..., None])[..., 0] / d

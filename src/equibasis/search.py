@@ -153,15 +153,6 @@ class SolutionCertificate:
         return all(check.passed for check in self.checks)
 
 
-def flatness_residual(theta: PhaseVector) -> float:
-    """max_k | |a_k| - 1/sqrt(d) | for the synthesized coefficients.
-
-    Zero means a maximally entangled endpoint; the all-zero phases score
-    1 - 1/sqrt(d), the largest value the synthesis can produce.
-    """
-    return flatness(synthesize_coefficients(theta))
-
-
 def _project_unimodular(
     z: np.ndarray, radius: float, mod: np.ndarray, lo: float | None = None
 ) -> np.ndarray:

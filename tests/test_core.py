@@ -9,9 +9,7 @@ import pytest
 from equibasis import (
     PhaseVector,
     autocorrelation,
-    dft,
     entanglement,
-    idft,
     root_of_unity,
     state_entanglement,
     synthesize_coefficients,
@@ -173,36 +171,3 @@ class TestOneLevel:
             entanglement(np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError, match="not normalized"):
             state_entanglement(np.array([[2.0]]))
-
-
-class TestDft:
-    def test_delta_to_flat(self):
-        d = 6
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        assert np.allclose(dft(v), np.full(d, 1 / math.sqrt(d)), atol=1e-15)
-
-    def test_flat_to_delta(self):
-        d = 6
-        v = np.full(d, 1 / math.sqrt(d), dtype=complex)
-        expected = np.zeros(d, dtype=complex)
-        expected[0] = 1.0
-        assert np.allclose(dft(v), expected, atol=1e-15)
-
-    def test_d2_column(self):
-        w = dft(np.array([0, 1], dtype=complex))
-        assert np.allclose(w, np.array([1, -1]) / math.sqrt(2), atol=1e-15)
-
-    def test_idft_inverts(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=9) + 1j * rng.normal(size=9)
-        assert np.allclose(idft(dft(v)), v, atol=1e-12)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=12) + 1j * rng.normal(size=12)
-        assert abs(np.linalg.norm(dft(v)) - np.linalg.norm(v)) < 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            dft(np.array([], dtype=complex))

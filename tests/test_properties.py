@@ -10,10 +10,8 @@ from equibasis import (
     PhaseVector,
     autocorrelation,
     build_state,
-    dft,
     entanglement,
     gram_check,
-    idft,
     root_of_unity,
     state_entanglement,
     synthesize_coefficients,
@@ -133,13 +131,6 @@ def test_equi_entanglement_across_all_labels(theta):
 def test_gram_identity_for_synthesized_vectors(theta):
     report = gram_check(synthesize_coefficients(theta))
     assert report.passed
-
-
-@given(unit_vectors())
-def test_dft_unitary_and_invertible(v):
-    w = dft(v)
-    assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
-    assert np.allclose(idft(w), v, atol=1e-12)
 
 
 @given(phase_vectors())

@@ -1,12 +1,12 @@
 """Rejections and representations that no other test reaches: the entropy
-oracle's eigenvalue floor, ``PhaseVector.__repr__`` and an empty ``idft``."""
+oracle's eigenvalue floor and ``PhaseVector.__repr__``."""
 
 import math
 
 import numpy as np
 import pytest
 
-from equibasis import PhaseVector, idft, state_entanglement
+from equibasis import PhaseVector, state_entanglement
 from equibasis.basis import EIGENVALUE_FLOOR
 
 
@@ -36,8 +36,3 @@ def test_phase_vector_repr():
 def test_stacked_phase_vector_repr():
     stack = PhaseVector(np.array([[0.0, 1.0], [2.0, -1.0]]))
     assert repr(stack) == "PhaseVector([0, 1, 2, 5.28319], shape=(2, 2))"
-
-
-def test_idft_of_an_empty_vector_raises():
-    with pytest.raises(ValueError, match="nonempty"):
-        idft(np.array([], dtype=complex))

@@ -9,29 +9,30 @@ from equibasis import (
     PhaseVector,
     SearchConfig,
     alternating_projection_search,
-    flatness_residual,
     iterate_projections,
     preset_phases,
     quadratic_phases,
+    synthesize_coefficients,
     verify_solution,
 )
+from equibasis.core import flatness
 from equibasis.search import _restart_phases
 
 
 class TestFlatnessResidual:
     def test_flat_preset_is_zero(self):
-        assert flatness_residual(preset_phases(4, 0).theta0) < 1e-15
+        assert flatness(synthesize_coefficients(preset_phases(4, 0).theta0)) < 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 7, 12])
     def test_zero_phases_score_the_maximum(self, d):
         # delta coefficients deviate by 1 - 1/sqrt(d) at k=0 and by 1/sqrt(d)
         # everywhere else; the latter dominates for d < 4
-        got = flatness_residual(PhaseVector(np.zeros(d)))
+        got = flatness(synthesize_coefficients(PhaseVector(np.zeros(d))))
         expected = max(1 - 1 / math.sqrt(d), 1 / math.sqrt(d))
         assert abs(got - expected) < 1e-12
 
     def test_quadratic_phases_d7(self):
-        assert flatness_residual(quadratic_phases(7)) < 1e-10
+        assert flatness(synthesize_coefficients(quadratic_phases(7))) < 1e-10
 
 
 class TestIterateProjections:
