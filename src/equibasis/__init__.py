@@ -29,7 +29,6 @@ from .core import (
 )
 from .families import (
     Family,
-    PresetEntry,
     available_presets,
     family_d3_complex,
     family_d3_real,

@@ -41,16 +41,10 @@ EIGENVALUE_FLOOR = -1e-12
 
 @dataclass(frozen=True)
 class GramReport:
-    """Maxima of |G - I| over the d^2 x d^2 Gram matrix of basis states.
+    """Maxima of |G - I| over the d^2 x d^2 Gram matrix of basis states."""
 
-    ``worst_pair`` holds the two (m, n) labels realizing the largest
-    deviation from the identity.
-    """
-
-    d: int
     max_offdiag: float
     max_diag_dev: float
-    worst_pair: tuple[tuple[int, int], tuple[int, int]]
 
     @property
     def passed(self) -> bool:
@@ -146,9 +140,8 @@ def gram_check(a: np.ndarray) -> GramReport:
     the same rows: one product, one sort, and O(d^2) work per label, O(d^3)
     in all, for the two row takes of the rotation table, the diagonal test
     and the comparison with the last rows; a map whose rows change with n
-    costs O(d^4).  ``worst_pair`` breaks ties at the least pair of labels
-    ((m, n), (m', n')) in lexicographic order, which is the row-major order
-    m*d + n of the dense d^2 x d^2 Gram matrix.
+    costs O(d^4).  The report holds only the two maxima, so it does not
+    depend on the order in which the labels are visited.
 
     Failure of orthonormality is reported in the maxima, never raised; a NaN
     Gram entry (coefficients whose products overflow) makes them NaN, and
@@ -166,16 +159,14 @@ def gram_check(a: np.ndarray) -> GramReport:
     identity = np.eye(d)
     max_offdiag = 0.0  # the zero entries between different n
     max_diag_dev = 0.0
-    worst = (1.0, (0, 0), (0, 0))  # least (-deviation, row label, column label)
     done = None  # the rows of the last block computed
     for n in range(d):
         rows, diff = _support(d, labels, n)
         diff = diff - rows  # k - j of each cell; rebinding frees the column array
         # The block depends on n only through rows.  Rows equal to the last
         # ones computed are already known to be permutations, so they are not
-        # sorted again, and they give the same maxima, whose ties sit at a
-        # larger row-major index than those already folded in, so the report
-        # cannot change.  The wrapped diagonal is checked at every label.
+        # sorted again, and equal rows give the same maxima.  The wrapped
+        # diagonal is checked at every label.
         fresh = done is None or not np.array_equal(rows, done)
         unsorted = fresh and np.any(np.sort(rows, axis=1) != labels)
         if unsorted or np.any((diff != n) & (diff != n - d)):
@@ -190,20 +181,12 @@ def gram_check(a: np.ndarray) -> GramReport:
         amp = np.zeros((d, d), dtype=complex)
         amp[labels[:, None], rows] = a
         deviation = np.abs(amp.conj() @ amp.T - identity)
-
-        r, c = divmod(int(np.argmax(deviation)), d)
-        worst = min(worst, (-float(deviation[r, c]), (r, n), (c, n)))
         # np.maximum, not max: a NaN entry must reach the report and fail it.
         max_diag_dev = np.maximum(max_diag_dev, deviation.diagonal().max())
         np.fill_diagonal(deviation, 0.0)
         max_offdiag = np.maximum(max_offdiag, deviation.max())
 
-    return GramReport(
-        d=d,
-        max_offdiag=float(max_offdiag),
-        max_diag_dev=float(max_diag_dev),
-        worst_pair=worst[1:],
-    )
+    return GramReport(max_offdiag=float(max_offdiag), max_diag_dev=float(max_diag_dev))
 
 
 def state_entanglement(s: np.ndarray) -> float:

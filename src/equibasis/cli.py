@@ -327,7 +327,7 @@ def read_source(
         return family, {"family": family.value}
     if kind == "preset":
         d, variant = parse_preset_key(text)
-        return preset_phases(d, variant).theta0, {"preset": {"d": d, "variant": variant}}
+        return preset_phases(d, variant), {"preset": {"d": d, "variant": variant}}
     values = parse_coefficients(text) if kind == "coeffs" else parse_angle_list(text)
     check_dimension(values.size, "--" + kind)
     if kind == "coeffs":
@@ -535,7 +535,7 @@ def cmd_verify(args, argv: list[str]) -> int:
     }
     checks = [check._asdict() for check in cert.checks]
     report(args, argv, payload, {"config": {"source": desc, "d": a.size}, "checks": checks})
-    return 0 if cert.gram_pass else 1
+    return 0 if cert.gram.passed else 1
 
 
 def cmd_search(args, argv: list[str]) -> int:

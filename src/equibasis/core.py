@@ -87,7 +87,10 @@ class PhaseVector:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.theta, dtype=float)
+        arr = np.asarray(self.theta)
+        if np.iscomplexobj(arr):  # a cast to float would drop the imaginary parts
+            raise ValueError("phases must be real")
+        arr = np.asarray(arr, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] < 2:
             raise ValueError("phase vector needs at least 2 entries")
         if not np.all(np.isfinite(arr)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,17 +96,16 @@ def family_d4_complex_entropy(theta: float) -> float:
 
 class Family(enum.Enum):
     """The four closed-form one-parameter families: each member is its CLI
-    name, its dimension and its closed form."""
+    name and its closed form."""
 
-    D3_REAL = "d3-real", 3, family_d3_real
-    D3_COMPLEX = "d3-complex", 3, family_d3_complex
-    D4_REAL = "d4-real", 4, family_d4_real
-    D4_COMPLEX = "d4-complex", 4, family_d4_complex
+    D3_REAL = "d3-real", family_d3_real
+    D3_COMPLEX = "d3-complex", family_d3_complex
+    D4_REAL = "d4-real", family_d4_real
+    D4_COMPLEX = "d4-complex", family_d4_complex
 
-    def __new__(cls, value: str, dimension: int, closed_form) -> Family:
+    def __new__(cls, value: str, closed_form) -> Family:
         member = object.__new__(cls)
         member._value_ = value
-        member.dimension = dimension
         member._closed_form = closed_form
         return member
 
@@ -118,16 +116,6 @@ class Family(enum.Enum):
         bit for bit the vector of its parameter alone.
         """
         return self._closed_form(param)
-
-
-@dataclass(frozen=True)
-class PresetEntry:
-    """A cataloged flat-phase endpoint: synthesizing theta0 gives a
-    maximally entangled seed state (flat moduli within ``FLATNESS_TOL``)."""
-
-    d: int
-    variant: int
-    theta0: PhaseVector
 
 
 # Known phase vectors with flat-modulus synthesis, one row per (d, variant).
@@ -145,11 +133,12 @@ def available_presets() -> tuple[tuple[int, int], ...]:
     return tuple(sorted(_PRESET_ANGLES))
 
 
-def preset_phases(d: int, variant: int = 0) -> PresetEntry:
-    """Look up a cataloged flat-phase endpoint by dimension and variant.
+def preset_phases(d: int, variant: int = 0) -> PhaseVector:
+    """The phases of a cataloged flat-phase endpoint, by dimension and variant.
 
-    The synthesized moduli are re-verified to be flat on every call, by
-    the certificate's rule (pass only when the deviation is below
+    Synthesizing them gives a maximally entangled seed state.  The
+    synthesized moduli are re-verified to be flat on every call, by the
+    certificate's rule (pass only when the deviation is below
     ``FLATNESS_TOL``, never on NaN); a failure means the catalog itself is
     corrupt and raises ``RuntimeError``.  An unknown key raises
     ``ValueError``.
@@ -163,7 +152,7 @@ def preset_phases(d: int, variant: int = 0) -> PresetEntry:
     deviation = flatness(synthesize_coefficients(theta0))
     if not deviation < FLATNESS_TOL:
         raise RuntimeError(f"preset phases are not flat: deviation {deviation!r}")
-    return PresetEntry(d=d, variant=variant, theta0=theta0)
+    return theta0
 
 
 def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:

@@ -133,10 +133,6 @@ class SolutionCertificate:
         return cls(residual=flatness(a), gram=gram, entanglement=entanglement(a))
 
     @property
-    def gram_pass(self) -> bool:
-        return self.gram.passed
-
-    @property
     def checks(self) -> tuple[CertificateCheck, ...]:
         """Gram off-diagonal, Gram diagonal, flatness residual and |E - 1|,
         each with its value and tolerance, in that order."""
@@ -153,20 +149,17 @@ class SolutionCertificate:
         return all(check.passed for check in self.checks)
 
 
-def _project_unimodular(
-    z: np.ndarray, radius: float, mod: np.ndarray, lo: float | None = None
-) -> np.ndarray:
+def _project_unimodular(z: np.ndarray, radius: float, mod: np.ndarray, lo: float) -> np.ndarray:
     """Nearest vector with all moduli equal to radius.
 
     A modulus below ``ZERO_MODULUS`` has no usable phase for the division
     z / |z|, so that entry becomes radius + 0j; every other entry keeps its
     own phase, rounding noise included.  ``mod`` is ``np.abs(z)`` and
-    ``lo`` its minimum (taken here if not given), which the caller may
-    already hold.  When no modulus is below ``ZERO_MODULUS`` (the usual
-    case) the tie-break is skipped; the result has the same bits either
-    way.
+    ``lo`` its minimum, which the sweep already holds.  When no modulus is
+    below ``ZERO_MODULUS`` (the usual case) the tie-break is skipped; the
+    result has the same bits either way.
     """
-    if (mod.min() if lo is None else lo) >= ZERO_MODULUS:
+    if lo >= ZERO_MODULUS:
         return radius * z / mod
     safe = np.where(mod < ZERO_MODULUS, 1.0, mod)
     return np.where(mod < ZERO_MODULUS, radius + 0.0j, radius * z / safe)
@@ -206,7 +199,12 @@ def iterate_projections(
     # A copy, 16*d^2 bytes for the whole run: applying the conjugate to the
     # projected vector b instead, conj(E @ conj(b)), changes the step's bits
     # at every d >= 4, since the BLAS kernel then sums the product in another
-    # order.
+    # order.  conj(E.T @ conj(b)) keeps the copy's bits (OpenBLAS SkylakeX,
+    # Haswell, Sandybridge and Prescott kernels; d = 2..69, 128, 255, 256, 512
+    # and 1024, 20 vectors each), but its two conjugates cost 0.7-1.6 us more
+    # a product at d = 6..64 (1.9-4.4 against 1.0-3.1 us; 2-vCPU Xeon VM, one
+    # BLAS thread), 3-7 % of a sweep, where the emit benchmark's searches run
+    # and its tail job moves with their sweep time.
     inverse = _phase_matrix(theta.d).conj().T
     th = theta.theta
     for iterations in itertools.count():

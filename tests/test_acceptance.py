@@ -134,10 +134,10 @@ def test_criterion_6_closed_form_entropy():
 def test_criterion_7_preset_certificates():
     outcomes = []
     for d, variant in available_presets():
-        cert = verify_solution(preset_phases(d, variant).theta0)
+        cert = verify_solution(preset_phases(d, variant))
         outcomes.append(
             cert.residual < 1e-9
-            and cert.gram_pass
+            and cert.gram.passed
             and abs(cert.entanglement - 1.0) < 1e-9
         )
     report(
@@ -188,7 +188,7 @@ def test_criterion_10_interpolation_continuity():
     all_ok = True
     worst_jump = 0.0
     for d, variant in available_presets():
-        theta0 = preset_phases(d, variant).theta0
+        theta0 = preset_phases(d, variant)
         values = np.array(
             [
                 entanglement(synthesize_coefficients(interpolate(theta0, i / 1000)))
@@ -237,7 +237,7 @@ def test_criterion_7_note_table_phases_modulus_only():
     # documented convention: catalog coefficients are certified by modulus;
     # the d=2 row synthesizes to ((1+i)/2,(1-i)/2), equal in modulus to the
     # printed (1/sqrt(2), i/sqrt(2)) but not in phase
-    a = synthesize_coefficients(preset_phases(2).theta0)
+    a = synthesize_coefficients(preset_phases(2))
     printed = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
     assert np.allclose(np.abs(a), np.abs(printed), atol=1e-12)
     assert not np.allclose(a, printed, atol=1e-6)

@@ -149,7 +149,7 @@ class TestStackedSynthesis:
 
     def test_interpolate_stack_rejects_any_t_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            interpolate(preset_phases(3).theta0, np.array([0.0, 0.5, 1.5]))
+            interpolate(preset_phases(3), np.array([0.0, 0.5, 1.5]))
 
     def test_stacked_canonical_fixes_each_row(self):
         stack = PhaseVector(np.array([[0.5, 1.0, 0.2], [2.0, 0.1, 6.0]])).canonical()
@@ -179,7 +179,7 @@ _RANDOM_256 = np.random.default_rng(256).uniform(0.0, 2 * math.pi, 256)
 CASES = {
     "family-d3-real": lambda: _family_case("d3-real"),
     "family-d3-complex": lambda: _family_case("d3-complex"),
-    "interpolate-d3": lambda: _interpolate_case(["--preset", "d=3"], preset_phases(3).theta0),
+    "interpolate-d3": lambda: _interpolate_case(["--preset", "d=3"], preset_phases(3)),
     "interpolate-d64": lambda: _interpolate_case(
         ["--theta0", _phases_arg(quadratic_phases(64).theta)], quadratic_phases(64)
     ),
@@ -249,10 +249,11 @@ SPECIAL_PARAMS = [
 def test_family_over_array_equals_stacked_scalar_calls(params):
     xs = np.array(params)
     for family in Family:
+        d = int(family.value[1])  # "d3-real" is a d = 3 family
         stacked = family.coefficients(xs)
-        assert stacked.shape == (xs.size, family.dimension) and stacked.dtype == complex
+        assert stacked.shape == (xs.size, d) and stacked.dtype == complex
         per_scalar = [family.coefficients(x) for x in params]
-        assert all(row.shape == (family.dimension,) for row in per_scalar)
+        assert all(row.shape == (d,) for row in per_scalar)
         assert same_bits(stacked, np.array(per_scalar))
         assert same_bits(stacked, np.array([reference_family(family, x) for x in params]))
 

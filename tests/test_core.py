@@ -65,6 +65,8 @@ class TestPhaseVector:
             PhaseVector([0.0, math.nan])
         with pytest.raises(ValueError):
             PhaseVector([0.0, math.inf])
+        with pytest.raises(ValueError, match="real"):
+            PhaseVector(np.array([1 + 1j, 2.0]))
 
     def test_immutable(self):
         pv = PhaseVector([0.0, 1.0])

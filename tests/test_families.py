@@ -130,8 +130,8 @@ class TestD4Complex:
 
 class TestFamilyEnum:
     def test_dimensions(self):
-        assert Family.D3_REAL.dimension == 3
-        assert Family.D4_COMPLEX.dimension == 4
+        assert Family.D3_REAL.coefficients(0.0).shape == (3,)
+        assert Family.D4_COMPLEX.coefficients(0.0).shape == (4,)
 
     def test_dispatch(self):
         assert np.allclose(
@@ -145,25 +145,25 @@ class TestPresets:
 
     def test_d4_v0_synthesizes_flat_row(self):
         entry = preset_phases(4, 0)
-        assert np.allclose(entry.theta0.theta, [0, 0, 0, math.pi], atol=1e-15)
-        a = synthesize_coefficients(entry.theta0)
+        assert np.allclose(entry.theta, [0, 0, 0, math.pi], atol=1e-15)
+        a = synthesize_coefficients(entry)
         assert np.allclose(a, [0.5, 0.5j, 0.5, -0.5j], atol=1e-15)
 
     def test_d3_moduli_flat(self):
-        a = synthesize_coefficients(preset_phases(3).theta0)
+        a = synthesize_coefficients(preset_phases(3))
         assert np.allclose(np.abs(a), 1 / math.sqrt(3), atol=1e-9)
 
     def test_d5_moduli_flat(self):
         entry = preset_phases(5, 0)
         expected = [0, 2 * math.pi / 5, 0, 4 * math.pi / 5, 4 * math.pi / 5]
-        assert np.allclose(entry.theta0.theta, expected, atol=1e-15)
-        a = synthesize_coefficients(entry.theta0)
+        assert np.allclose(entry.theta, expected, atol=1e-15)
+        a = synthesize_coefficients(entry)
         assert np.allclose(np.abs(a), 1 / math.sqrt(5), atol=1e-9)
 
     @pytest.mark.parametrize("d,variant", [(2, 0), (3, 0), (4, 0), (4, 1), (5, 0)])
     def test_all_entries_flat(self, d, variant):
         entry = preset_phases(d, variant)
-        assert flatness(synthesize_coefficients(entry.theta0)) < 1e-9
+        assert flatness(synthesize_coefficients(entry)) < 1e-9
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -174,20 +174,20 @@ class TestPresets:
 
 class TestInterpolate:
     def test_t_zero_gives_product_basis(self):
-        theta0 = preset_phases(5).theta0
+        theta0 = preset_phases(5)
         a = synthesize_coefficients(interpolate(theta0, 0.0))
         expected = np.zeros(5, dtype=complex)
         expected[0] = 1.0
         assert np.allclose(a, expected, atol=1e-15)
 
     def test_t_one_returns_seed(self):
-        theta0 = preset_phases(4, 0).theta0
+        theta0 = preset_phases(4, 0)
         assert np.allclose(interpolate(theta0, 1.0).theta, theta0.theta, atol=1e-15)
         a = synthesize_coefficients(interpolate(theta0, 1.0))
         assert abs(entanglement(a) - 1.0) < 1e-12
 
     def test_halfway_is_partially_entangled(self):
-        theta0 = preset_phases(4, 0).theta0
+        theta0 = preset_phases(4, 0)
         half = interpolate(theta0, 0.5)
         assert np.allclose(half.theta, [0, 0, 0, math.pi / 2], atol=1e-15)
         e = entanglement(synthesize_coefficients(half))
@@ -195,7 +195,7 @@ class TestInterpolate:
 
     def test_continuity_along_t(self):
         for d, variant in available_presets():
-            theta0 = preset_phases(d, variant).theta0
+            theta0 = preset_phases(d, variant)
             values = [
                 entanglement(synthesize_coefficients(interpolate(theta0, t / 100)))
                 for t in range(101)
@@ -204,7 +204,7 @@ class TestInterpolate:
             assert jumps.max() < 0.1
 
     def test_rejects_out_of_range(self):
-        theta0 = preset_phases(2).theta0
+        theta0 = preset_phases(2)
         with pytest.raises(ValueError):
             interpolate(theta0, -0.1)
         with pytest.raises(ValueError):
@@ -214,7 +214,7 @@ class TestInterpolate:
 class TestQuadraticPhases:
     def test_d2_matches_preset_row(self):
         assert np.allclose(
-            quadratic_phases(2).theta, preset_phases(2).theta0.theta, atol=1e-15
+            quadratic_phases(2).theta, preset_phases(2).theta, atol=1e-15
         )
 
     def test_d3_reduces(self):

@@ -214,7 +214,8 @@ def test_projection_matches_reference(d, key, small):
     k = min(len(small), d)
     z[:k] = small[:k]  # moduli below ZERO_MODULUS get phase 0, not their own
     radius = 1.0 / math.sqrt(d)
-    got = search._project_unimodular(z, radius, np.abs(z))
+    mod = np.abs(z)
+    got = search._project_unimodular(z, radius, mod, mod.min())
     want = reference_project_unimodular(z, radius)
     assert got.tobytes() == want.tobytes()
 

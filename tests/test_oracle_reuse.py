@@ -32,7 +32,6 @@ def previous_gram_check(a: np.ndarray) -> GramReport:
     identity = np.eye(d)
     max_offdiag = 0.0
     max_diag_dev = 0.0
-    worst = (1.0, 0, 0)
     for n in range(d):
         rows, cols = basis._support(d, np.arange(d), n)
         if np.any((cols - rows) % d != n) or np.any(np.sort(rows, axis=1) != i):
@@ -43,20 +42,11 @@ def previous_gram_check(a: np.ndarray) -> GramReport:
         amp = np.zeros((d, d), dtype=complex)
         amp[m, rows] = a
         deviation = np.abs(amp.conj() @ amp.T - identity)
-
-        r, c = divmod(int(np.argmax(deviation)), d)
-        worst = min(worst, (-float(deviation[r, c]), r * d + n, c * d + n))
         max_diag_dev = max(max_diag_dev, float(deviation.diagonal().max()))
         np.fill_diagonal(deviation, 0.0)
         max_offdiag = max(max_offdiag, float(deviation.max()))
 
-    _, row, col = worst
-    return GramReport(
-        d=d,
-        max_offdiag=max_offdiag,
-        max_diag_dev=max_diag_dev,
-        worst_pair=((row // d, row % d), (col // d, col % d)),
-    )
+    return GramReport(max_offdiag=max_offdiag, max_diag_dev=max_diag_dev)
 
 
 def dense_gram_report(a: np.ndarray) -> GramReport:
@@ -69,15 +59,9 @@ def dense_gram_report(a: np.ndarray) -> GramReport:
             states[m * d + n][basis._support(d, m, n)] = a
     states = states.reshape(d * d, d * d)
     deviation = np.abs(states.conj() @ states.T - np.eye(d * d))
-    row, col = divmod(int(np.argmax(deviation)), d * d)
     max_diag_dev = float(deviation.diagonal().max())
     np.fill_diagonal(deviation, 0.0)
-    return GramReport(
-        d=d,
-        max_offdiag=float(deviation.max()),
-        max_diag_dev=max_diag_dev,
-        worst_pair=((row // d, row % d), (col // d, col % d)),
-    )
+    return GramReport(max_offdiag=float(deviation.max()), max_diag_dev=max_diag_dev)
 
 
 def gram_inputs(d: int) -> dict[str, np.ndarray]:
@@ -133,7 +117,7 @@ def _reverse_odd_states_for_odd_n(d, m, n):
 def test_rows_that_change_with_n_are_each_multiplied(monkeypatch, support, d):
     """Dense and blockwise reports agree bit for bit under the map.  The
     Gaussian-integer inputs keep every sum exact, so both orders give the
-    same floats and the ties are real."""
+    same floats."""
     monkeypatch.setattr(basis, "_support", support)
     rng = np.random.default_rng(d)
     for _ in range(4):

@@ -29,15 +29,7 @@ def dense_gram_check(a: np.ndarray) -> GramReport:
     diag = np.diag(deviation)
     offdiag = deviation.copy()
     np.fill_diagonal(offdiag, 0.0)
-
-    row, col = (int(x) for x in np.unravel_index(int(np.argmax(deviation)), deviation.shape))
-    worst = ((row // d, row % d), (col // d, col % d))
-    return GramReport(
-        d=d,
-        max_offdiag=float(offdiag.max()),
-        max_diag_dev=float(diag.max()),
-        worst_pair=worst,
-    )
+    return GramReport(max_offdiag=float(offdiag.max()), max_diag_dev=float(diag.max()))
 
 
 def eigvalsh_entropy(s: np.ndarray) -> float:
@@ -82,16 +74,9 @@ class TestGramAgainstDense:
     @settings(max_examples=60, deadline=None)
     def test_reports_agree(self, a):
         fast, dense = gram_check(a), dense_gram_check(a)
-        assert fast.d == dense.d
         assert fast.passed == dense.passed
         assert abs(fast.max_offdiag - dense.max_offdiag) < 1e-14
         assert abs(fast.max_diag_dev - dense.max_diag_dev) < 1e-14
-
-        (m1, n1), (m2, n2) = fast.worst_pair
-        assert n1 == n2
-        overlap = np.vdot(build_state(a, m1, n1), build_state(a, m2, n2))
-        entry = abs(overlap - (1.0 if m1 == m2 else 0.0))
-        assert abs(entry - max(fast.max_offdiag, fast.max_diag_dev)) < 1e-14
 
     @pytest.mark.parametrize(
         "a",

@@ -21,7 +21,7 @@ from equibasis.search import _restart_phases
 
 class TestFlatnessResidual:
     def test_flat_preset_is_zero(self):
-        assert flatness(synthesize_coefficients(preset_phases(4, 0).theta0)) < 1e-15
+        assert flatness(synthesize_coefficients(preset_phases(4, 0))) < 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 7, 12])
     def test_zero_phases_score_the_maximum(self, d):
@@ -37,7 +37,7 @@ class TestFlatnessResidual:
 
 class TestIterateProjections:
     def test_flat_start_is_a_fixed_point(self):
-        theta0 = preset_phases(4, 0).theta0
+        theta0 = preset_phases(4, 0)
         theta, residual, iterations = iterate_projections(theta0, 10_000, 1e-10)
         assert iterations == 0
         assert residual < 1e-12
@@ -73,7 +73,7 @@ class TestSearch:
     def test_d5_seed1_converges_off_catalog(self):
         result = alternating_projection_search(SearchConfig(d=5, rng_seed=1))
         assert result.converged
-        catalog = preset_phases(5, 0).theta0.theta
+        catalog = preset_phases(5, 0).theta
         assert not np.allclose(result.theta.theta, catalog, atol=1e-6)
 
     def test_deterministic(self):
@@ -122,27 +122,27 @@ class TestSearch:
             assert result.converged
             cert = verify_solution(result.theta)
             assert cert.residual < 10 * cfg.residual_tol
-            assert cert.gram_pass
+            assert cert.gram.passed
             assert cert.maximal
 
 
 class TestVerifySolution:
     def test_catalog_row_passes(self):
-        cert = verify_solution(preset_phases(3, 0).theta0)
+        cert = verify_solution(preset_phases(3, 0))
         assert cert.maximal
-        assert cert.gram_pass
+        assert cert.gram.passed
         assert cert.residual < 1e-9
         assert abs(cert.entanglement - 1.0) < 1e-9
 
     def test_zero_phases_orthonormal_but_not_entangled(self):
         cert = verify_solution(PhaseVector(np.zeros(4)))
-        assert cert.gram_pass
+        assert cert.gram.passed
         assert cert.residual > 0.1
         assert cert.entanglement < 1e-12
         assert not cert.maximal
 
     def test_generic_phases_give_intermediate_entanglement(self):
         cert = verify_solution(PhaseVector([0.0, math.pi / 7, 1.0, 2.0]))
-        assert cert.gram_pass
+        assert cert.gram.passed
         assert 0.0 < cert.entanglement < 1.0
         assert not cert.maximal

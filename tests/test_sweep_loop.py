@@ -2,7 +2,9 @@
 oracle's input shape.
 
 ``iterate_projections`` returns the start unchanged (gauge-fixed) after 0
-sweeps when ``max_iters <= 0``.  ``alternating_projection_search`` calls it
+sweeps when ``max_iters <= 0``.  After any number of sweeps, the residual it
+reads off the extreme moduli is bit for bit ``core.flatness`` of the phases
+it returns.  ``alternating_projection_search`` calls it
 through the module attribute once per restart tried, so the sweeps of a
 converged search add up to ``restart_index * max_iters + iterations``, the
 count ``bench/make_search_pool.py`` and the traced ``search.sweeps`` read.
@@ -29,6 +31,16 @@ def test_no_sweep_returns_the_start(d, max_iters):
     assert np.array_equal(theta.theta, start.canonical().theta)
     assert residual == flatness(synthesize_coefficients(start))
     assert residual > 0.0
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 128, 256])
+def test_swept_residual_is_flatness_of_the_returned_phases(d):
+    for seed in (0, 1, 7):
+        start = search._restart_phases(d, seed, 0)
+        for max_iters in (1, 2, 13, 50):
+            theta, residual, iterations = search.iterate_projections(start, max_iters, 1e-300)
+            assert iterations == max_iters
+            assert residual == flatness(synthesize_coefficients(theta)), (seed, max_iters)
 
 
 @pytest.mark.parametrize("d, seed, max_iters", [(7, 0, 300), (8, 1, 100), (10, 1, 300)])

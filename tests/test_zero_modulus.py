@@ -44,7 +44,7 @@ def test_only_moduli_below_the_threshold_take_phase_zero(d):
     a, off_peak = zero_phase_coefficients(d)
     radius = 1.0 / math.sqrt(d)
     mod = np.abs(a)
-    projected = _project_unimodular(a, radius, mod)
+    projected = _project_unimodular(a, radius, mod, mod.min())
     small = mod < ZERO_MODULUS
     assert np.all(projected[small] == radius + 0.0j)
     kept = ~small
