@@ -41,7 +41,6 @@ from .families import (
 )
 from .search import (
     CERT_ENTROPY_TOL,
-    CERT_RESIDUAL_TOL,
     SearchConfig,
     SearchResult,
     SolutionCertificate,

@@ -156,7 +156,6 @@ def gram_check(a: np.ndarray) -> GramReport:
         raise ValueError("coefficients must be finite")
     d = a.size
     labels = np.arange(d)
-    identity = np.eye(d)
     max_offdiag = 0.0  # the zero entries between different n
     max_diag_dev = 0.0
     done = None  # the rows of the last block computed
@@ -180,11 +179,11 @@ def gram_check(a: np.ndarray) -> GramReport:
         # amp[m, j] is the amplitude of state (m, n) on cell (j, j+n).
         amp = np.zeros((d, d), dtype=complex)
         amp[labels[:, None], rows] = a
-        deviation = np.abs(amp.conj() @ amp.T - identity)
+        gram = amp.conj() @ amp.T
         # np.maximum, not max: a NaN entry must reach the report and fail it.
-        max_diag_dev = np.maximum(max_diag_dev, deviation.diagonal().max())
-        np.fill_diagonal(deviation, 0.0)
-        max_offdiag = np.maximum(max_offdiag, deviation.max())
+        max_diag_dev = np.maximum(max_diag_dev, np.abs(gram.diagonal() - 1.0).max())
+        np.fill_diagonal(gram, 0.0)
+        max_offdiag = np.maximum(max_offdiag, np.abs(gram).max())
 
     return GramReport(max_offdiag=float(max_offdiag), max_diag_dev=float(max_diag_dev))
 
@@ -209,7 +208,6 @@ def state_entanglement(s: np.ndarray) -> float:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"state must be a square amplitude matrix, got {s.shape}")
-    d = s.shape[0]
     parts = np.ascontiguousarray(s).view(float)  # row j: re, im of M[j, 0], M[j, 1], ...
     rows = np.vecdot(parts, parts)
     total = float(np.add.reduce(rows))
@@ -229,7 +227,7 @@ def state_entanglement(s: np.ndarray) -> float:
             raise ValueError(f"reduced state has negative eigenvalue {lam.min()!r}")
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
-    return _weights_entropy(lam, d)
+    return _weights_entropy(lam)
 
 
 def shift_state(s: np.ndarray, row_shifts: int, col_shifts: int) -> np.ndarray:

@@ -158,8 +158,11 @@ def check_dimension(d: int, flag: str) -> None:
 
 
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive, strictly increasing grid start, start+step, ..., stop.
+    """Strictly increasing grid start, start+step, ... up to stop.
 
+    The grid ends at the last start + i*step not above stop, to within 1e-9
+    of a step, so stop is a grid point only when the step divides the range:
+    ``--from 10 --to 50.3 --step 0.7`` gives 58 points, ending at 49.9.
     The point count is checked before the grid is built: a step that gives
     more than ``MAX_CURVE_POINTS`` points (or an infinite count) is refused.
     Point i is min(start + i*step, stop), with Python's ``min`` tie rule
@@ -389,6 +392,8 @@ def cmd_construct(args, argv: list[str]) -> int:
     fmt = args.format or "json"
     chunks = construct_chunks(a, desc, entanglement(a), fmt)
     if args.output is None:
+        if sys.stdout is None:  # Python starts with no stdout when fd 1 is closed
+            raise OSError("standard output is closed")
         sys.stdout.writelines(chunks)
     else:
         save(args.output, argv, chunks, {"config": {"source": desc, "d": a.size, "format": fmt}})

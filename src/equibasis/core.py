@@ -107,11 +107,6 @@ class PhaseVector:
         """Gauge-fixed copy with theta[0] = 0."""
         return PhaseVector(self.theta - self.theta[..., :1])
 
-    def __repr__(self) -> str:
-        angles = ", ".join(f"{t:.6g}" for t in self.theta.flat)
-        shape = "" if self.theta.ndim == 1 else f", shape={self.theta.shape}"
-        return f"PhaseVector([{angles}]{shape})"
-
 
 def root_of_unity(d: int, p: int) -> complex:
     """Return exp(2*pi*i*p/d).
@@ -214,7 +209,7 @@ def entanglement(a: np.ndarray) -> float | np.ndarray:
     off = ~(np.abs(norm - 1.0) <= NORM_TOL)  # also rejects NaN and inf
     if off.any():
         raise ValueError(f"coefficient vector is not normalized: |a| = {float(norm[off][0])!r}")
-    return _weights_entropy(weights / total, a.shape[-1])
+    return _weights_entropy(weights / total)
 
 
 def flatness(a: np.ndarray) -> float:
@@ -226,7 +221,7 @@ def flatness(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(a.size))))
 
 
-def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
+def _weights_entropy(weights: np.ndarray) -> float | np.ndarray:
     """Base-d entropy of probability vectors along the last axis, clamped to [0, 1].
 
     The weights are nonnegative.  A 1-d vector gives a float, a stack of
@@ -237,6 +232,7 @@ def _weights_entropy(weights: np.ndarray, d: int) -> float | np.ndarray:
     where the base-d logarithm is undefined, every state is a product state
     and scores 0.
     """
+    d = weights.shape[-1]
     if d == 1:
         return 0.0 if weights.ndim == 1 else np.zeros(weights.shape[:-1])
     if np.count_nonzero(weights) == weights.size:

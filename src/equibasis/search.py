@@ -49,14 +49,14 @@ from .core import FLATNESS_TOL, ORTHO_TOL, entanglement, flatness, synthesize_co
 # pinned thetas and bench/search_pool.json.
 ZERO_MODULUS = 1e-15
 
-# Certificate thresholds for a maximally entangled basis.  The residual bound
-# is the flatness bound of :mod:`equibasis.core` (argued there).  The entropy
-# of a flat vector departs from 1 only to second order in the modulus
-# deviations, plus the rounding of a d-term sum (about d * eps = 2.3e-13 at
-# d = 1024); measured |E - 1| for quadratic phases: 0 / 0 / 1.1e-16 / 0 / 0
-# at d = 64 / 128 / 256 / 512 / 1024, and for Bjorck phases 0 / 0 / 0 /
-# 1.1e-16 / 0 at p = 61 / 127 / 251 / 509 / 1021: one rounding step in both.
-CERT_RESIDUAL_TOL = FLATNESS_TOL
+# Certificate threshold on |E - 1| for a maximally entangled basis; its
+# residual check uses the flatness bound of :mod:`equibasis.core` (argued
+# there).  The entropy of a flat vector departs from 1 only to second order
+# in the modulus deviations, plus the rounding of a d-term sum (about
+# d * eps = 2.3e-13 at d = 1024); measured |E - 1| for quadratic phases:
+# 0 / 0 / 1.1e-16 / 0 / 0 at d = 64 / 128 / 256 / 512 / 1024, and for Bjorck
+# phases 0 / 0 / 0 / 1.1e-16 / 0 at p = 61 / 127 / 251 / 509 / 1021: one
+# rounding step in both.
 CERT_ENTROPY_TOL = 1e-9
 
 
@@ -139,7 +139,7 @@ class SolutionCertificate:
         measured = (
             ("gram_max_offdiag", self.gram.max_offdiag, ORTHO_TOL),
             ("gram_max_diag_dev", self.gram.max_diag_dev, ORTHO_TOL),
-            ("residual", self.residual, CERT_RESIDUAL_TOL),
+            ("residual", self.residual, FLATNESS_TOL),
             ("entanglement_deviation", abs(self.entanglement - 1.0), CERT_ENTROPY_TOL),
         )
         return tuple(CertificateCheck(name, v, tol, v < tol) for name, v, tol in measured)
@@ -293,7 +293,7 @@ def verify_solution(theta: PhaseVector) -> SolutionCertificate:
     Combines the flatness residual, the brute-force Gram check of all d^2
     states, and their one entanglement (why it is one value: see
     :func:`equibasis.basis.gram_check`), all read off one synthesis.
-    ``maximal`` holds iff residual < ``CERT_RESIDUAL_TOL``, the Gram check
+    ``maximal`` holds iff residual < ``FLATNESS_TOL``, the Gram check
     passes, and |E - 1| < ``CERT_ENTROPY_TOL``.
     """
     a = synthesize_coefficients(theta)

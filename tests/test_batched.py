@@ -324,21 +324,21 @@ def _weights_with_entropy(target: float, d: int = 3) -> np.ndarray:
 def test_stacked_clamp_rejects_an_injected_row(target):
     bad = _weights_with_entropy(target)
     with pytest.raises(RuntimeError, match="outside") as alone:
-        _weights_entropy(bad, 3)
+        _weights_entropy(bad)
     value = float(re.search(r"entropy (\S+) outside", str(alone.value)).group(1))
     assert math.isnan(value) if math.isnan(target) else value == pytest.approx(target, abs=1e-12)
     good = np.full(3, 1.0 / 3.0)
     for stack in ([good, bad, good], [bad, bad], [good, good, good, bad]):
         with pytest.raises(RuntimeError, match=re.escape(str(alone.value))):
-            _weights_entropy(np.array(stack), 3)
+            _weights_entropy(np.array(stack))
 
 
 @pytest.mark.parametrize("target", [-5e-13, 0.0, 0.5, 1.0, 1.0 + 5e-13])
 def test_stacked_clamp_equals_the_scalar_clamp_in_tolerance(target):
     row = _weights_with_entropy(target) if target != 0.5 else np.array([0.5, 0.25, 0.25])
     stack = np.array([row, np.full(3, 1.0 / 3.0), row])
-    got = _weights_entropy(stack, 3)
-    assert got.tolist() == [_weights_entropy(r, 3) for r in stack]
+    got = _weights_entropy(stack)
+    assert got.tolist() == [_weights_entropy(r) for r in stack]
     assert 0.0 <= got.min() and got.max() <= 1.0
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from equibasis import (
     CERT_ENTROPY_TOL,
-    CERT_RESIDUAL_TOL,
+    FLATNESS_TOL,
     Family,
     PhaseVector,
     SearchConfig,
@@ -41,7 +41,7 @@ def reference_certificate(a):
     e_value = entanglement(a)
     residual = float(np.max(np.abs(np.abs(a) - 1.0 / math.sqrt(d))))
     maximal = (
-        residual < CERT_RESIDUAL_TOL
+        residual < FLATNESS_TOL
         and report.passed
         and abs(e_value - 1.0) < CERT_ENTROPY_TOL
     )
@@ -84,7 +84,7 @@ SOURCES = (
         ["--coeffs=0.6,0;0,0.8"],  # orthogonal, not flat
         ["--coeffs=0.6,0;0,0.8;0,0"],  # not orthogonal
         ["--coeffs=1,0;1,0"],  # flat, not orthogonal
-        [f"--coeffs={tilted_pair(5e-10)}"],  # residual just inside CERT_RESIDUAL_TOL
+        [f"--coeffs={tilted_pair(5e-10)}"],  # residual just inside FLATNESS_TOL
         [f"--coeffs={tilted_pair(2e-9)}"],  # and just outside
         ["--family", "d4-real", "--param-deg", repr(math.degrees(1e-9))],  # residual 5e-10
         ["--family", "d4-real", "--param-deg", repr(math.degrees(4e-9))],  # residual 2e-9
@@ -127,7 +127,7 @@ def test_residual_tolerance_decides_maximal(capsys, source, maximal):
     assert main(["verify", *source]) == 0
     got = json.loads(capsys.readouterr().out)
     assert got["maximal"] is maximal
-    assert (got["residual"] < CERT_RESIDUAL_TOL) is maximal
+    assert (got["residual"] < FLATNESS_TOL) is maximal
     assert got["gram_max_offdiag"] < 1e-12 and abs(got["entanglement"] - 1.0) < CERT_ENTROPY_TOL
 
 
@@ -163,8 +163,8 @@ def test_maximal_is_strict_at_each_tolerance():
         return SolutionCertificate(residual=residual, gram=report, entanglement=e_value).maximal
 
     assert maximal(0.0, 1.0)
-    assert maximal(math.nextafter(CERT_RESIDUAL_TOL, 0.0), 1.0)
-    assert not maximal(CERT_RESIDUAL_TOL, 1.0)
+    assert maximal(math.nextafter(FLATNESS_TOL, 0.0), 1.0)
+    assert not maximal(FLATNESS_TOL, 1.0)
     assert maximal(0.0, 1.0 - 0.5 * CERT_ENTROPY_TOL)
     assert not maximal(0.0, 1.0 - 2.0 * CERT_ENTROPY_TOL)
     assert not maximal(0.0, 1.0 + 2.0 * CERT_ENTROPY_TOL)

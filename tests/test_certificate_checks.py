@@ -12,7 +12,7 @@ import pytest
 
 from equibasis import (
     CERT_ENTROPY_TOL,
-    CERT_RESIDUAL_TOL,
+    FLATNESS_TOL,
     ORTHO_TOL,
     SolutionCertificate,
     entanglement,
@@ -51,7 +51,7 @@ def test_maximal_is_every_check_passing(source):
     assert values == {
         "gram_max_offdiag": (cert.gram.max_offdiag, ORTHO_TOL),
         "gram_max_diag_dev": (cert.gram.max_diag_dev, ORTHO_TOL),
-        "residual": (cert.residual, CERT_RESIDUAL_TOL),
+        "residual": (cert.residual, FLATNESS_TOL),
         "entanglement_deviation": (abs(cert.entanglement - 1.0), CERT_ENTROPY_TOL),
     }
 

@@ -1,7 +1,8 @@
 """One meaning per exit code of the ``equibasis`` process: an exception that
 ``main`` does not classify exits 4 with its traceback and an ``internal
 error:`` line, never 1, while exit 1 stays the negative verdict of
-``verify`` (Gram failed) and ``search`` (not converged).  Each case runs
+``verify`` (Gram failed) and ``search`` (not converged), and a stdout that
+cannot be written exits 3 like any other I/O error.  Each case runs
 ``cli.entrypoint`` in a fresh process under ``-W error``.  An in-process
 ``main`` still lets such an exception through (``Reached`` in
 ``test_dimension_limit.py``)."""
@@ -32,15 +33,18 @@ cli.entrypoint()
 """
 
 
-def run_entrypoint(*args, crash=None):
+def run_entrypoint(*args, crash=None, close_stdout=False):
     env = dict(os.environ)
     env.pop("CRASH", None)
     if crash is not None:
         env["CRASH"] = crash
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error", "-c", SCRIPT, *args]
+    if close_stdout:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
     return subprocess.run(
-        [sys.executable, "-W", "error", "-c", SCRIPT, *args],
+        command,
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -68,3 +72,8 @@ def test_a_search_that_does_not_converge_still_exits_1():
     assert run.stderr == ""
     assert '"converged": false' in run.stdout
 
+
+def test_a_closed_stdout_is_an_io_error():
+    run = run_entrypoint("construct", "--theta", "0,pi", close_stdout=True)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == "i/o error: standard output is closed\n"

@@ -40,7 +40,6 @@ def reference_state_entanglement(s: np.ndarray) -> float:
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"state must be a square amplitude matrix, got {s.shape}")
-    d = s.shape[0]
     weights = np.abs(s) ** 2
     norm = math.sqrt(weights.sum())
     if not abs(norm - 1.0) <= NORM_TOL:
@@ -53,7 +52,7 @@ def reference_state_entanglement(s: np.ndarray) -> float:
             raise ValueError(f"reduced state has negative eigenvalue {lam.min()!r}")
         lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum()
-    return _weights_entropy(lam, d)
+    return _weights_entropy(lam)
 
 
 def reference_project_unimodular(z: np.ndarray, radius: float) -> np.ndarray:

@@ -62,4 +62,6 @@ def test_bare_search_parses_to_the_config_defaults():
 
 def test_one_flatness_bound():
     assert families.FLATNESS_TOL is core.FLATNESS_TOL
-    assert search.CERT_RESIDUAL_TOL is core.FLATNESS_TOL
+    cert = search.verify_solution(families.quadratic_phases(4))
+    (tolerance,) = (check.tolerance for check in cert.checks if check.name == "residual")
+    assert tolerance is core.FLATNESS_TOL
