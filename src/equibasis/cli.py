@@ -12,17 +12,22 @@ runs; only the manifest carries a timestamp.  Every output goes through
 ``save``, which says which outputs get a manifest and why it is written
 first; ``_overwrite`` says how an existing file is rewritten and what a
 killed run leaves.  ``--quiet`` silences only the ``wrote ...`` and
-grid-maximum lines; ``verify`` and ``search`` still print their JSON.
+grid-maximum lines; ``verify`` and ``search`` still write their JSON.
 
 The exit codes are listed once, in README's "Exit codes": ``main``
 returns each one, and ``entrypoint`` turns any exception ``main`` lets
-through into exit 4.
+through into exit 4.  Outside argparse's own help, version and usage
+text, the standard streams are written only by :func:`write_out` (data,
+JSON results and status lines; a closed stdout is exit 3) and
+:func:`write_err` (messages; a stderr that is closed or cannot be written
+loses the text and never changes the exit code).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import os
@@ -279,19 +284,45 @@ def save(path: Path, argv: list[str], chunks: Iterable[str], record: dict) -> No
     write_text(path, chunks)
 
 
+def write_out(chunks: Iterable[str]) -> None:
+    """Write chunks to stdout: the one writer of data, JSON results and
+    status lines.
+
+    Python starts with ``sys.stdout`` None when fd 1 is closed; that raises
+    an ``OSError`` (exit 3), as a stdout that cannot be written does, so no
+    run that writes here exits 0 with its output lost.
+    """
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    sys.stdout.writelines(chunks)
+
+
+def write_err(text: str) -> None:
+    """Write text to stderr: the one writer of messages.
+
+    The exit code carries the outcome, so a stderr that is closed
+    (``sys.stderr`` None, where ``print`` would fall back to stdout) or
+    cannot be written loses the text and never changes the code, as
+    argparse's usage errors already do.
+    """
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(text)
+
+
 def report(args, argv: list[str], payload: dict, record: dict) -> None:
-    """Print payload as indented JSON; with --output also :func:`save` that
-    text and a newline, with ``record`` in its manifest
+    """Write payload as indented JSON and a newline to stdout; with --output
+    also :func:`save` that text, with ``record`` in its manifest
     (:func:`write_manifest`)."""
-    text = json.dumps(payload, indent=2)
-    print(text)
+    text = [json.dumps(payload, indent=2), "\n"]
+    write_out(text)
     if args.output is not None:
-        save(args.output, argv, [text, "\n"], record)
+        save(args.output, argv, text, record)
 
 
 def say(args, message: str) -> None:
     if not args.quiet:
-        print(message)
+        write_out([message, "\n"])
 
 
 # --- coefficient sources -------------------------------------------------
@@ -392,9 +423,7 @@ def cmd_construct(args, argv: list[str]) -> int:
     fmt = args.format or "json"
     chunks = construct_chunks(a, desc, entanglement(a), fmt)
     if args.output is None:
-        if sys.stdout is None:  # Python starts with no stdout when fd 1 is closed
-            raise OSError("standard output is closed")
-        sys.stdout.writelines(chunks)
+        write_out(chunks)
     else:
         save(args.output, argv, chunks, {"config": {"source": desc, "d": a.size, "format": fmt}})
         say(args, f"wrote {args.output}")
@@ -675,29 +704,28 @@ def main(argv: list[str] | None = None) -> int:
             raise ArgumentProblem(f"{args.command} output is {' or '.join(formats).upper()} only")
         return args.func(args, argv)
     except ValueError as exc:  # ArgumentProblem and the library's own rejections
-        print(f"error: {exc}", file=sys.stderr)
+        write_err(f"error: {exc}\n")
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        write_err(f"i/o error: {exc}\n")
         return 3
     except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        write_err(f"internal error: {exc}\n")
         return 4
 
 
 def entrypoint() -> None:
     """The console script and ``python -m equibasis.cli``: exit with
     ``main``'s code.  An exception ``main`` lets through is a fault of the
-    program, not a verdict: it is printed with its traceback and one
-    ``internal error:`` line, and exits 4 as ``main``'s own internal errors
+    program, not a verdict: its traceback and one ``internal error:`` line
+    go to :func:`write_err`, and it exits 4 as ``main``'s own internal errors
     do, so exit 1 only ever means a failed verification or search.  It is
     caught here, not in ``main``, so an in-process caller still sees it.
     """
     try:
         sys.exit(main())
     except Exception as exc:
-        traceback.print_exc()
-        print(f"internal error: {exc!r}", file=sys.stderr)
+        write_err(f"{traceback.format_exc()}internal error: {exc!r}\n")
         sys.exit(4)
 
 
