@@ -16,11 +16,13 @@ grid-maximum lines; ``verify`` and ``search`` still write their JSON.
 
 The exit codes are listed once, in README's "Exit codes": ``main``
 returns each one, and ``entrypoint`` turns any exception ``main`` lets
-through into exit 4.  Outside argparse's own help, version and usage
-text, the standard streams are written only by :func:`write_out` (data,
-JSON results and status lines; a closed stdout is exit 3) and
-:func:`write_err` (messages; a stderr that is closed or cannot be written
-loses the text and never changes the exit code).
+through into exit 4.  The standard streams are written only by
+:func:`write_out` (data, JSON results, status lines, and argparse's help
+and version text: a stdout that is closed or cannot be written is exit 3)
+and :func:`write_err` (messages, argparse's usage and error text included:
+a stderr that is closed or cannot be written loses the text and never
+changes the exit code).  Both flush every write, so a failure meets its
+rule inside ``main`` and never in the interpreter's exit-time flush.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import io
 import json
 import math
 import os
@@ -284,30 +287,56 @@ def save(path: Path, argv: list[str], chunks: Iterable[str], record: dict) -> No
     write_text(path, chunks)
 
 
-def write_out(chunks: Iterable[str]) -> None:
-    """Write chunks to stdout: the one writer of data, JSON results and
-    status lines.
+def _write(stream, chunks: Iterable[str]) -> None:
+    """Write chunks to a standard stream and flush it.
 
-    Python starts with ``sys.stdout`` None when fd 1 is closed; that raises
-    an ``OSError`` (exit 3), as a stdout that cannot be written does, so no
-    run that writes here exits 0 with its output lost.
+    The flush makes a failed write (a full device, a pipe whose reader has
+    gone) raise here, inside ``main``; left buffered, the text would fail
+    only in the interpreter's exit-time flush, which prints ``Exception
+    ignored`` and exits 120 whatever ``main`` returned.  After a failure the
+    stream's fd is pointed at ``os.devnull``, the ``BrokenPipeError`` idiom
+    of Python's ``signal`` docs, so what the stream still buffers cannot
+    fail that flush again; a stream without a fd keeps its buffer.  The fd
+    stays there, also in a process that calls ``main`` and goes on.
+    """
+    try:
+        stream.writelines(chunks)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        raise
+
+
+def write_out(chunks: Iterable[str]) -> None:
+    """Write chunks to stdout: the one writer of data, JSON results, status
+    lines and argparse's help and version text.
+
+    Its one failure rule: a stdout that is closed (Python starts with
+    ``sys.stdout`` None when fd 1 is) or cannot be written raises
+    ``OSError`` (exit 3), so no run that writes here exits 0, or 120, with
+    its output lost.  The write is flushed (:func:`_write`), so ``verify``
+    and ``search`` fail before any ``--output`` file is written, whatever
+    the output's size.
     """
     if sys.stdout is None:
         raise OSError("standard output is closed")
-    sys.stdout.writelines(chunks)
+    _write(sys.stdout, chunks)
 
 
 def write_err(text: str) -> None:
-    """Write text to stderr: the one writer of messages.
+    """Write text to stderr: the one writer of messages, argparse's usage
+    and error text included.
 
-    The exit code carries the outcome, so a stderr that is closed
-    (``sys.stderr`` None, where ``print`` would fall back to stdout) or
-    cannot be written loses the text and never changes the code, as
-    argparse's usage errors already do.
+    Its one failure rule: the exit code carries the outcome, so a stderr
+    that is closed (``sys.stderr`` None, where ``print`` and argparse would
+    fall back to stdout) or cannot be written loses the text and never
+    changes the code.  The write is flushed (:func:`_write`), so a full
+    stderr cannot turn the code into 120 at exit either.
     """
     if sys.stderr is not None:
         with contextlib.suppress(OSError):
-            sys.stderr.write(text)
+            _write(sys.stderr, [text])
 
 
 def report(args, argv: list[str], payload: dict, record: dict) -> None:
@@ -686,13 +715,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code (README "Exit codes").
+
+    argparse writes its help, version, usage and error text itself, with
+    rules of its own: usage goes to stdout when stderr is closed, and from
+    Python 3.11 a failed write is swallowed.  So that text is captured
+    around ``parse_args`` and passed to :func:`write_err` and, only when
+    argparse wrote to stdout, to :func:`write_out`.  Each stream then has
+    its one failure rule, and a usage error never trips a closed stdout.
+    """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            write_err(err.getvalue())
+            if out.tell():
+                write_out([out.getvalue()])
+            return int(exc.code or 0)
         # Before any work: each numeric flag must be finite, then --format
         # must be one the subcommand writes (exit 2 for either, naming it).
         for dest, flag in FINITE_FLAGS.items():

@@ -4,10 +4,14 @@ error:`` line, never 1, while exit 1 stays the negative verdict of
 ``verify`` (Gram failed) and ``search`` (not converged), and a stdout that
 cannot be written exits 3 like any other I/O error.  A stderr that is
 closed or full loses its message and never changes the code.  Each case
-runs ``cli.entrypoint`` in a fresh process under ``-W error``.  An
-in-process ``main`` still lets such an exception through (``Reached`` in
-``test_dimension_limit.py``)."""
+runs ``cli.entrypoint`` in a fresh process under ``-W error``, with
+``PYTHONUNBUFFERED`` cleared, so stdout is buffered as in a user's shell
+and a write that fails only in the interpreter's exit-time flush (exit
+120) shows.  An in-process ``main`` still lets such an exception through
+(``Reached`` in ``test_dimension_limit.py``)."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -35,26 +39,39 @@ cli.entrypoint()
 """
 
 
+# Shell redirections of fd 1 by name: none, closed, or a device where every
+# write fails with ENOSPC.  "broken" is a pipe whose read end is closed
+# before the child starts, so every write fails with EPIPE; the child's
+# stdout is then not captured.
+STDOUT = {None: "", "closed": " >&-", "full": " >/dev/full", "broken": ""}
+
 # Shell redirections of fd 2 by name: none, closed, or a device where every
 # write fails with ENOSPC.
 STDERR = {None: "", "closed": " 2>&-", "full": " 2>/dev/full"}
 
 
-def run_entrypoint(*args, crash=None, close_stdout=False, stderr=None):
+def run_entrypoint(*args, crash=None, stdout=None, stderr=None):
     env = dict(os.environ)
     env.pop("CRASH", None)
+    env.pop("PYTHONUNBUFFERED", None)
     if crash is not None:
         env["CRASH"] = crash
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     command = [sys.executable, "-W", "error", "-c", SCRIPT, *args]
-    redirects = " >&-" * close_stdout + STDERR[stderr]
+    redirects = STDOUT[stdout] + STDERR[stderr]
     if redirects:
         command = ["sh", "-c", 'exec "$@"' + redirects, "sh", *command]
-    return subprocess.run(
-        command,
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    if stdout != "broken":
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            command, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("crash", ["TypeError", "MemoryError"])
@@ -91,7 +108,7 @@ def test_a_closed_stdout_is_an_io_error(args, tmp_path):
     output = tmp_path / "v.json"
     if args[-1] == "--output":
         args = [*args, str(output)]
-    run = run_entrypoint(*args, close_stdout=True)
+    run = run_entrypoint(*args, stdout="closed")
     assert run.returncode == 3, run.stderr
     assert run.stderr == "i/o error: standard output is closed\n"
     assert list(tmp_path.iterdir()) == []  # stdout is written first
@@ -114,7 +131,7 @@ def test_a_curve_writes_its_files_before_a_closed_stdout_fails_it(tmp_path):
     expected = written(output)
     for path in tmp_path.iterdir():
         path.unlink()
-    run = run_entrypoint(*CURVE, str(output), close_stdout=True)
+    run = run_entrypoint(*CURVE, str(output), stdout="closed")
     assert run.returncode == 3, run.stderr
     assert run.stderr == "i/o error: standard output is closed\n"
     assert written(output) == expected
@@ -122,7 +139,7 @@ def test_a_curve_writes_its_files_before_a_closed_stdout_fails_it(tmp_path):
 
 def test_a_quiet_curve_does_not_write_to_stdout(tmp_path):
     output = tmp_path / "c.csv"
-    run = run_entrypoint(*CURVE, str(output), "--quiet", close_stdout=True)
+    run = run_entrypoint(*CURVE, str(output), "--quiet", stdout="closed")
     assert run.returncode == 0, run.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.manifest.json"]
 
@@ -150,3 +167,87 @@ def test_a_lost_traceback_keeps_exit_4():
     run = run_entrypoint("verify", "--preset", "d=3,v=0", crash="TypeError", stderr="closed")
     assert run.returncode == 4
     assert run.stdout == ""
+
+
+ENOSPC = "i/o error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--theta", "0,pi"], ["search", "--d", "4"], ["construct", "--theta", "0,pi"], CURVE],
+    ids=["verify", "search", "construct", "curve"],
+)
+def test_a_full_stdout_is_an_io_error(args, tmp_path):
+    if args[-1] == "--output":
+        args = [*args, str(tmp_path / "c.csv")]
+    run = run_entrypoint(*args, stdout="full")
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == ENOSPC
+
+
+@pytest.mark.parametrize("args", [["verify", "--theta", "0,pi"], ["search", "--d", "4"]],
+                         ids=["verify", "search"])
+def test_a_full_stdout_fails_before_the_output_file(args, tmp_path):
+    run = run_entrypoint(*args, "--output", str(tmp_path / "r.json"), stdout="full")
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == ENOSPC
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args", [["search", "--d", "4"], ["construct", "--theta", ",".join(["0"] * 40)]],
+    ids=["search", "construct-d40"],
+)
+def test_a_broken_pipe_is_an_io_error(args):
+    run = run_entrypoint(*args, stdout="broken")
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == "i/o error: [Errno 32] Broken pipe\n"
+
+
+ARGPARSE_STDOUT = [["--help"], ["--version"], ["verify", "--help"]]
+ARGPARSE_IDS = ["help", "version", "verify-help"]
+
+
+@pytest.mark.parametrize("args", ARGPARSE_STDOUT, ids=ARGPARSE_IDS)
+def test_argparse_text_on_a_full_stdout_is_an_io_error(args):
+    run = run_entrypoint(*args, stdout="full")
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == ENOSPC
+
+
+@pytest.mark.parametrize("args", ARGPARSE_STDOUT, ids=ARGPARSE_IDS)
+def test_argparse_text_on_a_closed_stdout_is_an_io_error(args):
+    run = run_entrypoint(*args, stdout="closed")
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == "i/o error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]], ids=["help", "verify-help"])
+def test_help_goes_to_stdout(args):
+    run = run_entrypoint(*args)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert run.stdout.startswith("usage: equibasis")
+
+
+@pytest.mark.parametrize("stderr", [None, "closed", "full"])
+def test_a_usage_error_never_writes_to_stdout(stderr):
+    run = run_entrypoint("verify", "--nope", stderr=stderr)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    if stderr is None:
+        assert run.stderr.startswith("usage: equibasis")
+        assert run.stderr.endswith("error: unrecognized arguments: --nope\n")
+
+
+class FullStream(io.StringIO):
+    """A stream without a fd on which every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failing_stream_without_a_fd_is_an_io_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert cli.main(["verify", "--theta", "0,pi"]) == 3
+    assert capsys.readouterr().err == ENOSPC

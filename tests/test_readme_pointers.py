@@ -1,7 +1,8 @@
 """Every backticked `cli.X`, `core.X`, `basis.X`, `search.X` or `families.X`
 in the README names an attribute of that ``equibasis`` module, so a pointer
 to the owner of a figure or rule cannot go stale.  File names such as
-`basis.json` are not pointers and are skipped."""
+`basis.json` or `cli.manifest.json` are not pointers and are skipped: a
+path whose last dotted part is ``json`` or ``csv``."""
 
 import re
 from pathlib import Path
@@ -15,13 +16,19 @@ MODULES = {"basis": basis, "cli": cli, "core": core, "families": families, "sear
 POINTER = re.compile(r"`(basis|cli|core|families|search)\.([\w.]+)`")
 
 
-def pointers() -> list[tuple[str, str]]:
-    found = POINTER.findall(README.read_text(encoding="utf-8"))
-    return sorted({(m, path) for m, path in found if not path.endswith((".json", ".csv"))})
+def pointers(text: str | None = None) -> list[tuple[str, str]]:
+    """The (module, attribute path) pairs in text, README by default."""
+    found = POINTER.findall(README.read_text(encoding="utf-8") if text is None else text)
+    return sorted({(m, path) for m, path in found if path.split(".")[-1] not in ("json", "csv")})
 
 
 def test_the_pointers_are_found():
     assert ("cli", "MAX_DIMENSION") in pointers()
+
+
+def test_file_names_are_not_pointers():
+    text = "`basis.json`, `cli.csv`, `search.out.json`, `cli.save`, `core.json_like`"
+    assert pointers(text) == [("cli", "save"), ("core", "json_like")]
 
 
 @pytest.mark.parametrize("module, path", pointers())
