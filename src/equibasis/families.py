@@ -159,11 +159,13 @@ def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:
     """Scale every phase by t in [0, 1].
 
     t = 0 gives the all-zero phases (product basis, entanglement 0); t = 1
-    returns theta0 itself.  An array of n values of t gives the n scaled
-    phase vectors as one stacked PhaseVector of shape (n, d).
+    returns theta0 itself, save that a stored 2*pi comes back as 0.  An
+    array of n values of t gives the n scaled phase vectors as one stacked
+    PhaseVector of shape (n, d).
 
-    Scaling acts on the stored representatives in [0, 2*pi), before any
-    gauge reduction, and this is intended: the path is defined by the phases
+    Scaling acts on the stored representatives in [0, 2*pi] (2*pi only by
+    ``np.mod``'s rounding, see :class:`PhaseVector`), before any gauge
+    reduction, and this is intended: the path is defined by the phases
     as given.  Two gauge-equivalent endpoints (phases differing by a
     constant, e.g. theta0 and theta0.canonical()) share both ends, the
     product basis at t = 0 and the same entanglement at t = 1, but where
@@ -176,9 +178,9 @@ def interpolate(theta0: PhaseVector, t: float | np.ndarray) -> PhaseVector:
     Fourier matrix, so for t, s in [0, 1]
 
         ||a(t) - a(s)||_2 = ||c(t) - c(s)||_2 <= L * |t - s|,
-        L = ||theta0||_2 / sqrt(d) < 2*pi,
+        L = ||theta0||_2 / sqrt(d) <= 2*pi,
 
-    with theta0 taken as stored, in [0, 2*pi).  Every basis state puts a(t)
+    with theta0 taken as stored, in [0, 2*pi].  Every basis state puts a(t)
     on the same cells at every t (:func:`equibasis.basis.gram_check`), so
     all d^2 states move by exactly ||a(t) - a(s)||_2 at once.  Their reduced
     states are diagonal, holding the |a_i|^2 in one fixed order, so their

@@ -6,11 +6,12 @@ per manifest and per captured stdout and stderr, and one line
 ``exit N  name`` per run.  A manifest is digested with the value of its
 ``timestamp`` masked, the one field that changes between runs; its
 ``command`` is shell-quoted, and a ``--theta`` with spaces pins that
-quoting.  The runs cover curves of all four families, every preset and
-``--theta0`` at d = 64 and 256, ``construct`` in JSON and CSV to a file
-and to stdout, ``verify`` (d = 512, where the Gram oracle skips the most
-repeated blocks, and ``MAX_DIMENSION``, d = 1024; Bjorck's flat phases at
-p = 509, a second flat family at large d; and that spaced ``--theta``) and ``search`` (the
+quoting.  The runs cover curves of all four families, every preset,
+``--theta0`` at d = 64 and 256 and a ``--theta0`` out of [0, 2*pi),
+``construct`` in JSON and CSV to a file and to stdout, ``verify``
+(d = 512, where the Gram oracle skips the most repeated blocks, and
+``MAX_DIMENSION``, d = 1024; Bjorck's flat phases at p = 509, a second
+flat family at large d; and that spaced ``--theta``) and ``search`` (the
 largest seed, at an odd d, and d = 1024 pin the restart stream), the
 exit-2 error paths of bad sources, curve settings and search settings,
 ``--help`` of the program and of each subcommand (at a fixed
@@ -103,6 +104,10 @@ def runs() -> list[tuple[str, list[str]]]:
         ("curve-theta0-64-scrambled", phases(64, "scrambled"), grid("0.25", "0.75", "0.003")),
     ]:
         out.append((name, ["curve", "--interpolate", "--theta0", theta0, *span]))
+    # Phases out of range, -0.0 and one stored as 2*pi; the stack at t = 1 reaches 2*pi.
+    out.append(("curve-theta0-out-of-range",
+                ["curve", "--interpolate", "--theta0=-1.5,7.0,-0.0,-1e-17,0.25,12.5,-9.0,3.0",
+                 *grid("0.5", "1", "0.01")]))
 
     sources = {
         "d3-real": ["--family", "d3-real", "--param-deg", "30"],
