@@ -7,11 +7,10 @@ flat).  No closed form is known in general, so this module searches
 numerically: alternating projections between the two unit-modulus
 constraints, connected by the transform, from random restarts.
 
-:func:`iterate_projections` is the one sweep loop: it owns the synthesis,
-the residual read off the extreme moduli, the stop rule and the sweep
-count.  Each sweep that does not stop applies :func:`_ap_step`, which holds
-the whole alternating-projection update: both projections, the transform
-back, the ``ZERO_MODULUS`` tie-break and the gauge fix.
+:func:`iterate_projections` is the one sweep loop, and it holds the whole
+alternating-projection update: the synthesis, the residual read off the
+extreme moduli, the stop rule and the sweep count, then both projections,
+the transform back, the ``ZERO_MODULUS`` tie-break and the gauge fix.
 
 A search returns a candidate, which it does not certify itself:
 :func:`verify_solution` (or ``equibasis verify --theta``) certifies it
@@ -165,37 +164,22 @@ def _project_unimodular(z: np.ndarray, radius: float, mod: np.ndarray, lo: float
     return np.where(mod < ZERO_MODULUS, radius + 0.0j, radius * z / safe)
 
 
-def _ap_step(a: np.ndarray, mod: np.ndarray, lo: float, target: float,
-             inverse: np.ndarray) -> np.ndarray:
-    """One alternating-projection update of the phases that synthesize a.
-
-    Snaps the moduli of a (``mod``, least ``lo``) flat at ``target``,
-    transforms back to the phase side with ``inverse``, the conjugate
-    transpose of the phase matrix, and snaps those moduli flat too: the
-    result is the next phase vector, gauge-fixed to theta[0] = 0.
-    """
-    c = (inverse @ _project_unimodular(a, target, mod, lo)) / math.sqrt(a.size)
-    th = np.arctan2(c.imag, c.real)  # what np.angle(c) computes, minus its wrapper
-    # Phase 0 only where the modulus is below ZERO_MODULUS (the same guard
-    # as the projection); a larger noise-level modulus keeps its phase.
-    c_mod = np.abs(c)
-    if not c_mod.min() >= ZERO_MODULUS:  # also NaN
-        th = np.where(c_mod < ZERO_MODULUS, 0.0, th)
-    return np.mod(th - th[0], TWO_PI)
-
-
 def iterate_projections(
     theta: PhaseVector, max_iters: int, residual_tol: float
 ) -> tuple[PhaseVector, float, int]:
     """Alternating projections from one starting phase vector.
 
-    The one sweep loop: each sweep synthesizes the coefficients, reads the
-    flatness residual off their extreme moduli and, unless it stops, takes
-    one :func:`_ap_step`.  Stops as soon as the residual drops below
-    ``residual_tol`` (a flat start is a fixed point and returns after 0
-    sweeps) or after ``max_iters`` sweeps (0 sweeps for ``max_iters <= 0``).
+    The one sweep loop, holding the whole alternating-projection update:
+    each sweep synthesizes the coefficients and reads the flatness residual
+    off their extreme moduli.  Unless it stops, it snaps those moduli flat,
+    transforms back to the phase side with the conjugate transpose of the
+    phase matrix, snaps those moduli flat too and gauge-fixes theta[0] = 0.
+    Stops as soon as the residual drops below ``residual_tol`` (a flat start
+    is a fixed point and returns after 0 sweeps) or after ``max_iters``
+    sweeps (0 sweeps for ``max_iters <= 0``).
     """
-    target = 1.0 / math.sqrt(theta.d)
+    scale = math.sqrt(theta.d)
+    target = 1.0 / scale
     # A copy, 16*d^2 bytes for the whole run: applying the conjugate to the
     # projected vector b instead, conj(E @ conj(b)), changes the step's bits
     # at every d >= 4, since the BLAS kernel then sums the product in another
@@ -218,7 +202,14 @@ def iterate_projections(
         residual = float(max(hi - target, target - lo))
         if residual < residual_tol or iterations >= max_iters:
             return PhaseVector(th).canonical(), residual, iterations
-        th = _ap_step(a, mod, lo, target, inverse)
+        c = (inverse @ _project_unimodular(a, target, mod, lo)) / scale
+        th = np.arctan2(c.imag, c.real)  # what np.angle(c) computes, minus its wrapper
+        # Phase 0 only where the modulus is below ZERO_MODULUS (the same guard
+        # as the projection); a larger noise-level modulus keeps its phase.
+        c_mod = np.abs(c)
+        if not c_mod.min() >= ZERO_MODULUS:  # also NaN
+            th = np.where(c_mod < ZERO_MODULUS, 0.0, th)
+        th = np.mod(th - th[0], TWO_PI)
 
 
 _MASK64 = 2**64 - 1

@@ -11,10 +11,10 @@ What the skipped pass costs (2-vCPU AVX-512 Xeon VM, numpy 2.4, best of 5
 timeit rounds): ``np.mod`` runs numpy's divmod loop at 13-16 ns per element,
 1.05 ms on a 256-point chunk of ``curve --interpolate`` at d = 256, where the
 range check and the copy take 0.04 ms.  Every chunk of t * theta0, t in
-[0, 1], is in range.  ``search._ap_step`` keeps its plain ``np.mod``: its
-input ``th - th[0]`` is signed on every sweep, and at d <= 32 the two
-reductions of the range check (1.8-1.9 us) cost more than the ``np.mod``
-they would skip (1.1-1.6 us).
+[0, 1], is in range.  ``search.iterate_projections`` keeps its plain
+``np.mod``: its input ``th - th[0]`` is signed on every sweep, and at
+d <= 32 the two reductions of the range check (1.8-1.9 us) cost more than
+the ``np.mod`` they would skip (1.1-1.6 us).
 """
 
 import numpy as np
