@@ -191,7 +191,7 @@ def gram_check(a: np.ndarray) -> GramReport:
 def state_entanglement(s: np.ndarray) -> float:
     """Base-d entropy of the reduced state of the first system.
 
-    Forms rho_A = M @ M.conj().T from the amplitude matrix M, diagonalizes
+    Forms rho_A = M M^H from the amplitude matrix M, diagonalizes
     it, and returns -sum lam log_d lam.  This is the Schmidt-spectrum
     route, fully independent of the coefficient-modulus shortcut in
     :func:`equibasis.core.entanglement`: it reads only M, never the
@@ -222,7 +222,7 @@ def state_entanglement(s: np.ndarray) -> float:
     if np.count_nonzero(cells) == np.count_nonzero(np.logical_or.reduce(cells, axis=0)):
         lam = rows / total
     else:
-        lam = np.linalg.eigvalsh(s @ s.conj().T)
+        lam = np.linalg.eigvalsh(s @ s.T.conj())
         if lam.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"reduced state has negative eigenvalue {lam.min()!r}")
         lam = np.clip(lam, 0.0, None)

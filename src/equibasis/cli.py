@@ -80,13 +80,13 @@ MAX_CONSTRUCT_ROWS = 256**3
 # Largest dimension d any subcommand accepts.  A --theta, --theta0 or
 # --coeffs list longer than this, or a larger `search --d`, is refused
 # (exit 2) before anything of size d^2 is allocated, such as the d x d phase
-# matrix (``core._phase_matrix`` states what it and a search's copy of it
-# take).  `verify` of the quadratic phases (`main` in process, one BLAS
-# thread, 2-vCPU Xeon VM) takes about 0.07 s at d = 256 and 0.6-0.7 s at
-# d = 512 (three runs each), and 8-9 s and 130 MB peak RSS at d = 1024
-# (ru_maxrss of the whole process; two runs).  Nearly all of it is the Gram
-# oracle's per-label work, at d = 1024: the two row takes of the layout into
-# fresh 8 MB arrays (4.4-4.6 ms), the wrapped diagonal's difference and test
+# matrix (``core._phase_matrix`` states what it takes).  `verify` of the
+# quadratic phases (`main` in process, one BLAS thread, 2-vCPU Xeon VM)
+# takes about 0.07 s at d = 256 and 0.6-0.7 s at d = 512 (three runs each),
+# and 8-9 s and 130 MB peak RSS at d = 1024 (ru_maxrss of the whole
+# process; two runs).  Nearly all of it is the Gram oracle's per-label
+# work, at d = 1024: the two row takes of the layout into fresh 8 MB
+# arrays (4.4-4.6 ms), the wrapped diagonal's difference and test
 # (2.5-2.7 ms), and the comparison with the last rows (0.8 ms).
 MAX_DIMENSION = 1024
 

@@ -135,16 +135,16 @@ def root_of_unity(d: int, p: int) -> complex:
 
 
 # One matrix is cached: that of the last d asked for, 16*d^2 bytes, so at
-# most 16 MB at d = 1024 (``cli.MAX_DIMENSION``).  A search also holds the
-# conjugate transpose of it as a copy for its whole run
-# (``search.iterate_projections``), so it holds 32 MB at d = 1024.  Every
-# command and library operation works at one d (a curve's chunks, a search's
-# sweeps, a construct, a verify), so the matrix stays cached for the whole
-# operation and a change of d rebuilds it, releasing the old one.  A rebuild
-# costs 0.17 / 0.55 / 1.9 / 39 ms at d = 64 / 128 / 256 / 1024 and gives the
-# same bits.  It is built in place: the product, the quotient and the
-# exponential share one array, so a build peaks at the integer table
-# (8*d^2 bytes) plus one complex matrix, not two.
+# most 16 MB at d = 1024 (``cli.MAX_DIMENSION``).  A search transforms back
+# through a transpose view of it (``search.iterate_projections``), so it
+# holds no second matrix.  Every command and library operation works at
+# one d (a curve's chunks, a search's sweeps, a construct, a verify), so the
+# matrix stays cached for the whole operation and a change of d rebuilds
+# it, releasing the old one.  A rebuild costs 0.17 / 0.55 / 1.9 / 39 ms at
+# d = 64 / 128 / 256 / 1024 and gives the same bits.  It is built in
+# place: the product, the quotient and the exponential share one array, so
+# a build peaks at the integer table (8*d^2 bytes) plus one complex matrix,
+# not two.
 @lru_cache(maxsize=1)
 def _phase_matrix(d: int) -> np.ndarray:
     """The d x d matrix E[j, alpha] = xi^(j*alpha), xi = exp(2*pi*i/d)."""

@@ -30,9 +30,9 @@ def family_d3_real(phi: float | np.ndarray) -> np.ndarray:
     parameters the (n, 3) stack.
     """
     s, c = np.sin(phi), np.cos(phi)
-    denom = 1.0 + s * c
+    s_plus_c, denom = s + c, 1.0 + s * c
     return np.stack(
-        [(s + c) * c / denom, (s + c) * s / denom, -s * c / denom], axis=-1, dtype=complex
+        [s_plus_c * c / denom, s_plus_c * s / denom, -s * c / denom], axis=-1, dtype=complex
     )
 
 
@@ -45,7 +45,8 @@ def family_d3_complex(phi: float | np.ndarray) -> np.ndarray:
     """
     c = np.cos(phi)
     n = 1.0 / np.sqrt(1.0 + 8.0 * c * c)
-    return np.stack([2.0 * c * n, -np.exp(1j * phi) * n, 2.0 * c * n], axis=-1, dtype=complex)
+    edge = 2.0 * c * n
+    return np.stack([edge, -np.exp(1j * phi) * n, edge], axis=-1, dtype=complex)
 
 
 def family_d4_real(theta: float | np.ndarray) -> np.ndarray:
@@ -70,8 +71,9 @@ def family_d4_complex(theta: float | np.ndarray) -> np.ndarray:
     # The factor 0.5 comes second: numpy's loop for a scalar times a complex
     # array can round a subnormal imaginary part to -0.0 where the product of
     # two scalars gives +0.0 (theta = -5e-324).
-    s = np.exp(1j * theta) * 0.5 * np.sin(theta)
-    a0 = (1.0 + np.exp(1j * theta) * np.cos(theta)) * 0.5
+    e = np.exp(1j * theta)
+    s = e * 0.5 * np.sin(theta)
+    a0 = (1.0 + e * np.cos(theta)) * 0.5
     return np.stack([a0, s, s / 1j, -s], axis=-1, dtype=complex)
 
 

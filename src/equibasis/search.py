@@ -178,18 +178,17 @@ def iterate_projections(
     is a fixed point and returns after 0 sweeps) or after ``max_iters``
     sweeps (0 sweeps for ``max_iters <= 0``).
     """
-    scale = math.sqrt(theta.d)
-    target = 1.0 / scale
-    # A copy, 16*d^2 bytes for the whole run: applying the conjugate to the
-    # projected vector b instead, conj(E @ conj(b)), changes the step's bits
-    # at every d >= 4, since the BLAS kernel then sums the product in another
-    # order.  conj(E.T @ conj(b)) keeps the copy's bits (OpenBLAS SkylakeX,
-    # Haswell, Sandybridge and Prescott kernels; d = 2..69, 128, 255, 256, 512
-    # and 1024, 20 vectors each), but its two conjugates cost 0.7-1.6 us more
-    # a product at d = 6..64 (1.9-4.4 against 1.0-3.1 us; 2-vCPU Xeon VM, one
-    # BLAS thread), 3-7 % of a sweep, where the emit benchmark's searches run
-    # and its tail job moves with their sweep time.
-    inverse = _phase_matrix(theta.d).conj().T
+    d = theta.d
+    target = 1.0 / math.sqrt(d)
+    scale = np.complex128(math.sqrt(d))  # c's dtype: numpy converts no float per sweep
+    # E is symmetric, so E^H b = conj(E.T @ conj(b)).  The view E.T has the
+    # strides of a conjugated copy's transpose, so the gemv sums in the same
+    # order and keeps the copy's bits (OpenBLAS SkylakeX, Haswell, Sandybridge
+    # and Prescott kernels; d = 2..70 and seven sizes up to 1024, 20 vectors
+    # each); conj(E @ conj(b)) would not.  np.dot reaches that gemv with less
+    # dispatch than @; it, the complex divisor and the plain reductions below
+    # pay for the two conjugates.
+    transpose = _phase_matrix(d).T
     th = theta.theta
     for iterations in itertools.count():
         a = _synthesize(th)
@@ -198,16 +197,17 @@ def iterate_projections(
         # x, so this is the same float; a NaN makes both extremes NaN.  The
         # loop keeps its own form because the step needs mod and lo, which
         # flatness would have to return for this caller only.
-        hi, lo = mod.max(), mod.min()
-        residual = float(max(hi - target, target - lo))
+        hi, lo = float(np.maximum.reduce(mod)), float(np.minimum.reduce(mod))
+        residual = max(hi - target, target - lo)
         if residual < residual_tol or iterations >= max_iters:
             return PhaseVector(th).canonical(), residual, iterations
-        c = (inverse @ _project_unimodular(a, target, mod, lo)) / scale
+        b = _project_unimodular(a, target, mod, lo)
+        c = np.conj(np.dot(transpose, np.conj(b))) / scale
         th = np.arctan2(c.imag, c.real)  # what np.angle(c) computes, minus its wrapper
         # Phase 0 only where the modulus is below ZERO_MODULUS (the same guard
         # as the projection); a larger noise-level modulus keeps its phase.
         c_mod = np.abs(c)
-        if not c_mod.min() >= ZERO_MODULUS:  # also NaN
+        if not np.minimum.reduce(c_mod) >= ZERO_MODULUS:  # also NaN
             th = np.where(c_mod < ZERO_MODULUS, 0.0, th)
         th = np.mod(th - th[0], TWO_PI)
 

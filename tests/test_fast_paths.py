@@ -8,8 +8,10 @@ arrays, and the entropy from ``np.abs(s) ** 2`` with a separate norm
 sum.  The projection step of the search skips its zero-modulus tie-break
 when no modulus is small; the reference always applies it.  A search
 sweep takes its residual from the extremes of the moduli and its phases
-from ``arctan2``; the reference sweep takes ``max |mod - target|`` and
-``np.angle``.
+from ``arctan2``, and it transforms back through the transpose view of the
+phase matrix with a conjugate on either side; the reference sweep takes
+``max |mod - target|`` and ``np.angle``, and transforms back through a
+conjugated copy of the matrix.
 """
 
 import math
@@ -63,7 +65,8 @@ def reference_project_unimodular(z: np.ndarray, radius: float) -> np.ndarray:
 
 
 def reference_iterate_projections(theta: PhaseVector, max_iters: int, residual_tol: float):
-    """The sweep loop with the residual over all moduli and ``np.angle``."""
+    """The sweep loop with the residual over all moduli, ``np.angle`` and a
+    conjugated copy of the phase matrix."""
     d = theta.d
     target = 1.0 / math.sqrt(d)
     inverse = _phase_matrix(d).conj().T
@@ -237,3 +240,17 @@ def test_sweeps_match_reference(d, key, tol):
     want_theta, want_residual, want_iterations = reference_iterate_projections(start, 40, tol)
     assert theta.theta.tobytes() == want_theta.theta.tobytes()
     assert (residual, iterations) == (want_residual, want_iterations)
+
+
+@pytest.mark.parametrize("d", [*range(41, 71), 127, 128, 255, 256, 511, 512, 1024])
+def test_sweeps_match_reference_where_blas_blocking_changes(d):
+    """The same bits as the conjugated copy at the sizes around the gemv
+    kernel's block edges, up to ``cli.MAX_DIMENSION``."""
+    for seed, sweeps in ((0, 10), (1, 25), (7, 40)):
+        start = search._restart_phases(d, seed, 0)
+        theta, residual, iterations = iterate_projections(start, sweeps, 1e-300)
+        want_theta, want_residual, want_iterations = reference_iterate_projections(
+            start, sweeps, 1e-300
+        )
+        assert theta.theta.tobytes() == want_theta.theta.tobytes(), seed
+        assert (residual, iterations) == (want_residual, want_iterations), seed

@@ -8,16 +8,19 @@ it returns.  ``alternating_projection_search`` calls it
 through the module attribute once per restart tried, so the sweeps of a
 converged search add up to ``restart_index * max_iters + iterations``, the
 count ``bench/make_search_pool.py`` and the traced ``search.sweeps`` read.
+A restart holds no d x d matrix besides the cached phase matrix.
 ``gram_check`` takes one nonempty 1-d coefficient vector and names the
 shape of anything else.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equibasis import PhaseVector, gram_check, search, synthesize_coefficients, verify_solution
+from equibasis import core
 from equibasis.core import flatness
 
 
@@ -63,6 +66,19 @@ def test_search_calls_the_loop_once_per_restart(monkeypatch, d, seed, max_iters)
     assert sum(sweeps for _, _, sweeps in calls) == (
         result.restart_index * max_iters + result.iterations
     )
+
+
+def test_a_restart_allocates_no_second_matrix():
+    """A d = 1024 sweep peaks far below the 16 MB of a d x d complex copy."""
+    start = search._restart_phases(1024, 0, 0)
+    core._phase_matrix(1024)
+    tracemalloc.start()
+    try:
+        search.iterate_projections(start, 1, 1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def orthonormal(d):
